@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -116,7 +117,14 @@ def _cmd_structure(args) -> int:
     dec = closed_form_decomposition(cls)
     if args.q is not None:
         _warn_composite_q(args.q)
-        assert dec.order(args.q) == torus_order(cls, args.q)
+        closed, direct = dec.order(args.q), torus_order(cls, args.q)
+        if closed != direct:
+            print(
+                f"error: order law fails for {cls.literal()} at q={args.q}: "
+                f"closed form gives {closed}, torus order is {direct}",
+                file=sys.stderr,
+            )
+            return 1
 
     if args.format == "json":
         entry = _report_entry(dec, args.q)
@@ -228,6 +236,22 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+@contextlib.contextmanager
+def _unlimited_int_text():
+    """Lift Python's cap on int <-> str conversion (4300 digits by
+    default where it exists): witness entries can be far longer."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(saved)
+
+
 def _cmd_snf(args) -> int:
     if args.matrix == "-":
         text = sys.stdin.read()
@@ -236,22 +260,23 @@ def _cmd_snf(args) -> int:
             text = Path(args.matrix).read_text()
         except OSError as exc:
             args.parser.error(str(exc))
-    try:
-        mat = parse_matrix_text(text)
-    except MatrixFormatError as exc:
-        args.parser.error(str(exc))
-    res = smith_normal_form(mat)
-    sys.stdout.write("D:\n")
-    sys.stdout.write(format_matrix_text(res.d))
-    if args.witnesses:
-        if not res.verify(mat):
-            print("witness check failed", file=sys.stderr)
-            return 1
-        sys.stdout.write("P:\n")
-        sys.stdout.write(format_matrix_text(res.p))
-        sys.stdout.write("Q:\n")
-        sys.stdout.write(format_matrix_text(res.q))
-    print(f"invariant factors: {_fmt_ints(invariant_factors(mat))}")
+    with _unlimited_int_text():
+        try:
+            mat = parse_matrix_text(text)
+        except MatrixFormatError as exc:
+            args.parser.error(str(exc))
+        res = smith_normal_form(mat)
+        sys.stdout.write("D:\n")
+        sys.stdout.write(format_matrix_text(res.d))
+        if args.witnesses:
+            if not res.verify(mat):
+                print("witness check failed", file=sys.stderr)
+                return 1
+            sys.stdout.write("P:\n")
+            sys.stdout.write(format_matrix_text(res.p))
+            sys.stdout.write("Q:\n")
+            sys.stdout.write(format_matrix_text(res.q))
+        print(f"invariant factors: {_fmt_ints([x for x in res.diagonal if x])}")
     return 0
 
 

@@ -330,13 +330,6 @@ def reduction_block(k: int, eps: int, q: int) -> Matrix:
     return p
 
 
-def reduction_block_final(k: int, eps: int, q: int) -> Matrix:
-    """Variant used on the final part: last row replaced by (0,...,0,eps)."""
-    p = reduction_block(k, eps, q)
-    p[k - 1] = [0] * (k - 1) + [eps]
-    return p
-
-
 def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     """The small matrix left after the block elimination; it has the
     same nontrivial invariant factors as ``torus_matrix``.
@@ -363,7 +356,8 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
 
     def b_entry(i):
         num = (1 + f * signs[i]) * q + (1 + f) * geometric_sum(q, 2, lengths[i])
-        assert num % 2 == 0
+        if num % 2:
+            raise ArithmeticError("coupling entry not even; block elimination broken")
         return -(num // 2)
 
     if m > 1:

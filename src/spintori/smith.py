@@ -1,20 +1,28 @@
-"""Smith normal form over the integers, with transformation witnesses.
+"""Smith normal form over the integers, along two paths.
 
-``smith_normal_form`` diagonalizes an integer matrix A as P A Q = D
-with unimodular P, Q and d1 | d2 | ... >= 0 on the diagonal.  The
-witnesses are maintained through every elementary step, so the result
-can always be re-verified by multiplication; ``SnfResult.verify`` does
-exactly that.
+``smith_normal_form`` is the witness path: it diagonalizes an integer
+matrix A as P A Q = D with unimodular P, Q and d1 | d2 | ... >= 0 on
+the diagonal.  The witnesses are maintained through every elementary
+step, so the result can always be re-verified by multiplication;
+``SnfResult.verify`` does exactly that.  It works over Z, so entries
+may grow far past |det A| during the elimination.
+
+``invariant_factors`` is the invariants-only path.  For a nonsingular
+square A it works modulo R, a divisor of D = |det A|, and never keeps
+an entry outside [0, R) (Hafner & McCurley, SIAM J. Comput. 20(6),
+1991; Cohen, GTM 138, Alg. 2.4.14).  It keeps no witnesses.  Singular
+and non-square input, the only kind with a free part, goes through the
+witness path.
 
 ``determinant`` is an independent fraction-free elimination, kept
 deliberately separate from the SNF path so the two can cross-check
-each other.
+each other.  ``invariant_factors`` takes its modulus from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 Matrix = list[list[int]]
 
@@ -214,12 +222,131 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 def invariant_factors(a: Matrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, trivial factors included.
 
+    A nonsingular square matrix is eliminated modulo R, which starts at
+    D = |det a| and is divided by each invariant factor as it is found.
+    The cokernel is unchanged by this, since D kills it, and every
+    stored entry lies in [0, R), so no entry ever reaches D.
+
     >>> invariant_factors([[2, 1], [0, 2]])
     (1, 4)
+    >>> invariant_factors([[10, 0], [0, 8]])
+    (2, 40)
     >>> invariant_factors([[0, 0], [0, 0]])
     ()
     """
-    return tuple(x for x in smith_normal_form(a).diagonal if x)
+    n = len(a)
+    if any(len(row) != n for row in a) or not (r := abs(determinant(a))):
+        return tuple(x for x in smith_normal_form(a).diagonal if x)
+    det = r
+    block = [[x % r for x in row] for row in a]
+    factors = []
+    while block:
+        unit = _find_unit(block, r)
+        if unit is not None:
+            i, j = unit
+            top = block.pop(i)
+            inv = pow(top[j], -1, r)
+            for k, row in enumerate(block):
+                f = row[j] * inv % r
+                if f:
+                    row = block[k] = [(x - f * y) % r for x, y in zip(row, top)]
+                del row[j]
+            factors.append(1)
+            continue
+        d = _split_pivot(block, r)
+        factors.append(d)
+        r //= d
+        block = [[x % r for x in row[1:]] for row in block[1:]]
+    if prod(factors) != det or any(y % x for x, y in zip(factors, factors[1:])):
+        raise ArithmeticError(f"modular Smith form broke the divisor chain: {factors}")
+    return tuple(factors)
+
+
+def _find_unit(block: Matrix, r: int) -> tuple[int, int] | None:
+    for i, row in enumerate(block):
+        for j, x in enumerate(row):
+            if x and gcd(x, r) == 1:
+                return i, j
+    return None
+
+
+def _split_pivot(block: Matrix, r: int) -> int:
+    """Split one cyclic factor off a block with no unit modulo r.
+
+    Moves the entry with the least gcd to r to (0, 0), clears row 0
+    and column 0 modulo r, and returns d = gcd(pivot, r), the least
+    invariant factor of the block.  A block that is zero modulo r is
+    1 x 1 (or r is 1) and gives d = r.
+    """
+    entries = ((gcd(x, r), i, j) for i, row in enumerate(block) for j, x in enumerate(row) if x)
+    best = min(entries, default=None)
+    if best is None:
+        return r
+    _, i, j = best
+    block[0], block[i] = block[i], block[0]
+    if j:
+        for row in block:
+            row[0], row[j] = row[j], row[0]
+    while True:
+        _clear_column(block, r)
+        if not _clear_row(block, r):
+            continue
+        g = gcd(block[0][0], r)
+        for row in block[1:]:
+            if any(x % g for x in row):
+                # the pivot does not divide the block: fold the row in
+                block[0] = [(x + y) % r for x, y in zip(block[0], row)]
+                break
+        else:
+            return g
+
+
+def _clear_column(block: Matrix, r: int) -> None:
+    """Zero column 0 below the pivot by row operations modulo r."""
+    for i in range(1, len(block)):
+        top, row = block[0], block[i]
+        x, p = row[0], top[0]
+        if not x:
+            continue
+        if x % p == 0:
+            # identity combination: an xgcd mix would swap the rows
+            f = x // p
+            block[i] = [(b - f * a) % r for a, b in zip(top, row)]
+        else:
+            g, s, t = xgcd(p, x)
+            u, v = x // g, p // g
+            block[0] = [(s * a + t * b) % r for a, b in zip(top, row)]
+            block[i] = [(v * b - u * a) % r for a, b in zip(top, row)]
+
+
+def _clear_row(block: Matrix, r: int) -> bool:
+    """Zero row 0 right of the pivot by column operations modulo r.
+
+    An entry the pivot divides is set to 0 directly, which is the
+    column operation only while column 0 is zero below the pivot.
+    Returns False once a gcd mix has made column 0 nonzero again.
+    """
+    top = block[0]
+    clean = True
+    for j in range(1, len(top)):
+        y, p = top[j], top[0]
+        if not y:
+            continue
+        if y % p == 0:
+            if clean:
+                top[j] = 0
+            else:
+                f = y // p
+                for row in block:
+                    row[j] = (row[j] - f * row[0]) % r
+        else:
+            g, s, t = xgcd(p, y)
+            u, v = y // g, p // g
+            for row in block:
+                a, b = row[0], row[j]
+                row[0], row[j] = (s * a + t * b) % r, (v * b - u * a) % r
+            clean = False
+    return clean
 
 
 @dataclass(frozen=True)
@@ -237,10 +364,8 @@ def abelian_invariants(a: Matrix) -> AbelianInvariants:
     >>> abelian_invariants([[0, 0], [0, 0]])
     AbelianInvariants(torsion=(), free_rank=2)
     """
-    diag = smith_normal_form(a).diagonal
-    cols = len(a[0])
-    rank = sum(1 for x in diag if x)
-    return AbelianInvariants(tuple(x for x in diag if x > 1), cols - rank)
+    factors = invariant_factors(a)
+    return AbelianInvariants(tuple(x for x in factors if x > 1), len(a[0]) - len(factors))
 
 
 # ---------------------------------------------------------------------------

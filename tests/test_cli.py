@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from spintori import TorusClass, cli, format_matrix_text, torus_matrix
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -110,6 +112,12 @@ class TestStructure:
         res = run("structure", "--l", "4", "--form", "plus", "--type", "2,x")
         assert res.returncode == 2
 
+    def test_order_law_failure_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "torus_order", lambda cls, q: 0)
+        rc = cli.main(["structure", "--l", "4", "--form", "plus", "--type", "2,2", "--q", "3"])
+        assert rc == 1
+        assert "order law fails for 2,2:+ at q=3" in capsys.readouterr().err
+
     def test_composite_q_warns(self):
         res = run("structure", "--l", "2", "--form", "plus", "--type", "1,1", "--q", "6")
         assert res.returncode == 0
@@ -193,3 +201,13 @@ class TestSnf:
         res = run("snf", "-", stdin="2 2\n0 0\n0 0\n")
         assert res.returncode == 0
         assert "invariant factors: (none)\n" in res.stdout
+
+    def test_witnesses_past_int_text_limit(self):
+        # P and Q of this l = 9 lattice matrix have entries of tens of
+        # thousands of digits, past Python's default int-to-str limit
+        m = torus_matrix(TorusClass.parse("2,-2,-2,-2,-1"), 25)
+        res = run("snf", "-", "--witnesses", stdin=format_matrix_text(m))
+        assert res.returncode == 0, res.stderr
+        assert "P:\n" in res.stdout and "Q:\n" in res.stdout
+        assert max(len(tok) for tok in res.stdout.split()) > 4300
+        assert res.stdout.endswith("invariant factors: 1, 1, 1, 1, 1, 2, 626, 16276, 195312\n")

@@ -2,14 +2,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintori import (
     SnfResult,
+    TorusClass,
     abelian_invariants,
+    canonical_invariants,
+    closed_form_decomposition,
     determinant,
     diagonalization_witnesses,
     invariant_factors,
+    reduced_torus_matrix,
     smith_normal_form,
+    torus_matrix,
     xgcd,
 )
 from spintori.matrices import mat_mul
@@ -17,6 +24,23 @@ from spintori.matrices import mat_mul
 
 def random_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def square_matrices(draw, max_size, bound):
+    """Square integer matrices; about a third are made singular by
+    replacing the last row with a combination of the others."""
+    n = draw(st.integers(1, max_size))
+    entry = st.integers(-bound, bound)
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)]
+    return m
+
+
+def snf_nonzero_diagonal(m):
+    return tuple(x for x in smith_normal_form(m).diagonal if x)
 
 
 def cofactor_det(m):
@@ -158,3 +182,43 @@ class TestWitnessFamilies:
             diagonalization_witnesses("iv", 3, 2, 4)
         with pytest.raises(ValueError):
             diagonalization_witnesses("v", 3, 2)
+
+
+class TestModularInvariantFactors:
+    """``invariant_factors`` works modulo |det|; the witness path works
+    over Z.  Both must give the same invariant factors."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(square_matrices(max_size=6, bound=12))
+    def test_matches_witness_path(self, m):
+        assert invariant_factors(m) == snf_nonzero_diagonal(m)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(square_matrices(max_size=5, bound=2**62))
+    def test_matches_witness_path_large_entries(self, m):
+        assert invariant_factors(m) == snf_nonzero_diagonal(m)
+
+    def test_frozen_examples(self):
+        # [[6, 0, 0], ...] has no unit modulo its determinant, so it
+        # takes the gcd-mix path and folds rows into the pivot
+        assert invariant_factors([[1]]) == (1,)
+        assert invariant_factors([[2, 1], [1, 1]]) == (1, 1)
+        assert invariant_factors([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
+        assert invariant_factors([[-4]]) == (4,)
+
+    # The named worst cases of the benchmark's growth workload, and the
+    # l = 10 class whose exact Smith form did not finish at q = 2^61 - 1.
+    WORST_CASES = [
+        ("3,-2,-2,-2,-1", 25),
+        ("1,1,1,1,-2,-2,-2", 25),
+        ("1,1,1,-2,-2", 2**31 - 1),
+        ("1,1,1,1,-2,-1", 2**31 - 1),
+        ("3,-2,-2,-2,-1", 2**61 - 1),
+    ]
+
+    @pytest.mark.parametrize("literal, q", WORST_CASES)
+    def test_worst_cases_match_closed_form(self, literal, q):
+        cls = TorusClass.parse(literal)
+        want = canonical_invariants(closed_form_decomposition(cls).orders(q))
+        assert canonical_invariants(invariant_factors(torus_matrix(cls, q))) == want
+        assert canonical_invariants(invariant_factors(reduced_torus_matrix(cls.ctype, q))) == want
