@@ -10,12 +10,13 @@ from spintori import TorusClass, cli, format_matrix_text, torus_matrix
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run(*args, stdin=None):
+def run(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "spintori", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        timeout=timeout,
     )
 
 
@@ -160,6 +161,13 @@ class TestVerify:
     def test_rejects_bad_degree(self):
         assert run("verify", "--l-max", "1").returncode == 2
 
+    def test_large_prime_q_is_quick(self):
+        # the prime-power note for a 61-bit q needs no factorization
+        res = run("verify", "--l-max", "2", "--q", str(2**61 - 1), timeout=30)
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[-1].endswith("0 failures")
+
     def test_rejects_bad_q_list(self):
         assert run("verify", "--l-max", "2", "--q", "2,x").returncode == 2
         assert run("verify", "--l-max", "2", "--q", "1").returncode == 2
@@ -203,11 +211,22 @@ class TestSnf:
         assert "invariant factors: (none)\n" in res.stdout
 
     def test_witnesses_past_int_text_limit(self):
-        # P and Q of this l = 9 lattice matrix have entries of tens of
-        # thousands of digits, past Python's default int-to-str limit
-        m = torus_matrix(TorusClass.parse("2,-2,-2,-2,-1"), 25)
-        res = run("snf", "-", "--witnesses", stdin=format_matrix_text(m))
+        # a 5,000-digit entry is past Python's default int-to-str limit
+        # both when the input is parsed and when D is printed
+        # (digits written out, since this process keeps the limit)
+        zeros = "0" * 4999
+        res = run("snf", "-", "--witnesses", stdin=f"2 2\n6 0\n0 1{zeros}\n")
         assert res.returncode == 0, res.stderr
         assert "P:\n" in res.stdout and "Q:\n" in res.stdout
         assert max(len(tok) for tok in res.stdout.split()) > 4300
+        assert res.stdout.endswith(f"invariant factors: 2, 3{zeros}\n")
+
+        # the Hermite step keeps the witnesses of this l = 9 lattice
+        # matrix near its 42-bit determinant; they once ran to tens of
+        # thousands of digits
+        m = torus_matrix(TorusClass.parse("2,-2,-2,-2,-1"), 25)
+        res = run("snf", "-", "--witnesses", stdin=format_matrix_text(m))
+        assert res.returncode == 0, res.stderr
+        witnesses = res.stdout.split("P:\n")[1].split("invariant factors:")[0]
+        assert max(len(tok) for tok in witnesses.split()) < 100
         assert res.stdout.endswith("invariant factors: 1, 1, 1, 1, 1, 2, 626, 16276, 195312\n")

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintori import (
+    FORM_MINUS,
+    FORM_PLUS,
     SnfResult,
     TorusClass,
     abelian_invariants,
@@ -13,6 +15,7 @@ from spintori import (
     closed_form_decomposition,
     determinant,
     diagonalization_witnesses,
+    enumerate_classes,
     invariant_factors,
     reduced_torus_matrix,
     smith_normal_form,
@@ -37,6 +40,13 @@ def square_matrices(draw, max_size, bound):
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
         m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)]
     return m
+
+
+@st.composite
+def rectangular_matrices(draw, max_size, bound):
+    rows, cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    entry = st.integers(-bound, bound)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
 
 
 def snf_nonzero_diagonal(m):
@@ -146,6 +156,36 @@ class TestSmithNormalForm:
         m = [[3**8 - 1, 3**5], [0, 3**8 + 1]]
         res = self.check(m)
         assert math.prod(x for x in res.diagonal if x) == abs(determinant(m))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(square_matrices(max_size=7, bound=20))
+    def test_property_square(self, m):
+        res = self.check(m)
+        assert tuple(x for x in res.diagonal if x) == invariant_factors(m)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(rectangular_matrices(max_size=6, bound=20))
+    def test_property_rectangular(self, m):
+        res = self.check(m)
+        assert tuple(x for x in res.diagonal if x) == invariant_factors(m)
+
+    def test_witness_growth_bound(self):
+        """Every witness entry has at most 4 bits(|det A|) + 64 bits, on
+        every lattice matrix of degree l <= 9 at q = 25 and on the l = 10
+        class whose witnesses once did not finish at q = 2^61 - 1."""
+        cases = [
+            (cls, 25)
+            for l in range(2, 10)
+            for form in (FORM_PLUS, FORM_MINUS)
+            for cls in enumerate_classes(l, form)
+        ]
+        cases.append((TorusClass.parse("3,-2,-2,-2,-1"), 2**61 - 1))
+        for cls, q in cases:
+            m = torus_matrix(cls, q)
+            res = smith_normal_form(m)
+            assert res.verify(m)
+            bits = max(abs(x).bit_length() for w in (res.p, res.q) for row in w for x in row)
+            assert bits <= 4 * abs(determinant(m)).bit_length() + 64, (cls.literal(), q)
 
 
 class TestWitnessFamilies:

@@ -271,6 +271,14 @@ class TestNumberTheory:
         assert not is_prime_power(1)
         assert not is_prime_power(36)
 
+    def test_is_prime_power_large(self):
+        m31, m61 = 2**31 - 1, 2**61 - 1
+        assert is_prime_power(m61)
+        assert is_prime_power(m31**2)
+        assert is_prime_power(2**127)
+        assert not is_prime_power(m31 * m61)
+        assert not is_prime_power(m61**2 * 2)
+
 
 class TestRendering:
     def test_factor_term_order(self):
