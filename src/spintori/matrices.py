@@ -50,10 +50,26 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, each row formed as a sum of rows of b.
+
+    Row i of the product is the sum of a[i][k] * b[k] over k; a zero
+    entry of a contributes nothing and is skipped, so a sparse factor
+    (a permutation or basis-change matrix) costs only its nonzeros.
+
+    >>> mat_mul([[0, 2], [1, 0]], [[1, 2, 3], [4, 5, 6]])
+    [[8, 10, 12], [1, 2, 3]]
+    """
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = len(b[0])
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -143,12 +159,27 @@ def permutation_matrix(w: SignedPermutation) -> Matrix:
 
 
 def weight_action_matrix(w: SignedPermutation) -> Matrix:
-    """The element's matrix on the fundamental-weight basis: S R S^-1.
-    Integral because the action preserves the weight lattice."""
+    """The element's matrix on the fundamental-weight basis: S R S^-1,
+    with S = ``transition_matrix``, R = ``permutation_matrix(w)`` and
+    N = 2 S^-1 = ``doubled_inverse_transition``.
+
+    Built row by row in O(l^2), with no matrix product.  Row k of R N
+    is sign(w(k)) N[|w(k)|], and row i of S takes the difference of
+    rows i and i+1 (the sum of the last two rows for the last simple
+    root), so row i of the result is (+-N[|w(a)|] +- N[|w(b)|]) / 2.
+    Integral because the action preserves the weight lattice; the
+    halving checks that every entry is even.
+
+    >>> from .permutations import SignedPermutation
+    >>> weight_action_matrix(SignedPermutation((2, 1, 3)))
+    [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]
+    """
     l = w.degree
-    s = transition_matrix(l)
-    r = permutation_matrix(w)
-    return _halve_exact(mat_mul(mat_mul(s, r), doubled_inverse_transition(l)))
+    n = doubled_inverse_transition(l)
+    rn = [n[x - 1] if x > 0 else [-v for v in n[-x - 1]] for x in w.images]
+    doubled = [[x - y for x, y in zip(rn[i], rn[i + 1])] for i in range(l - 1)]
+    doubled.append([x + y for x, y in zip(rn[l - 2], rn[l - 1])])
+    return _halve_exact(doubled)
 
 
 def coordinate_swap_matrix(l: int) -> Matrix:
@@ -165,14 +196,6 @@ def twist_matrix(l: int, q: int) -> Matrix:
     return mat_scale(q, coordinate_swap_matrix(l))
 
 
-def _as_class(tau) -> TorusClass:
-    if isinstance(tau, TorusClass):
-        return tau
-    if isinstance(tau, SignedCycleType):
-        return TorusClass(tau, "+" if tau.is_split_eligible() else None)
-    raise TypeError(f"expected a torus class or cycle type, got {type(tau).__name__}")
-
-
 def torus_matrix(tau, q: int) -> Matrix:
     """q * (weight action of the representative) - E.
 
@@ -186,14 +209,14 @@ def torus_matrix(tau, q: int) -> Matrix:
     >>> torus_matrix(SignedCycleType((1, 1)), 2)
     [[1, 0], [0, 1]]
     """
-    cls = _as_class(tau)
+    cls = TorusClass.coerce(tau)
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     l = cls.ctype.degree
     if l < 2:
         raise ValueError("torus matrices need degree >= 2")
-    a = mat_scale(q, weight_action_matrix(representative(cls)))
-    return mat_sub(a, mat_identity(l))
+    m = weight_action_matrix(representative(cls))
+    return [[q * x - 1 if i == j else q * x for j, x in enumerate(row)] for i, row in enumerate(m)]
 
 
 def twist_factorization_check(ctype: SignedCycleType, q: int) -> bool:

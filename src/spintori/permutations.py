@@ -196,6 +196,24 @@ class TorusClass:
             return cls(ctype)
         return cls(ctype, tag)
 
+    @classmethod
+    def coerce(cls, tau) -> "TorusClass":
+        """A class as given; a cycle type as its class, tagged '+' when
+        it splits.
+
+        >>> TorusClass.coerce(SignedCycleType((2, 2))).literal()
+        '2,2:+'
+        >>> TorusClass.coerce("2,2")
+        Traceback (most recent call last):
+        ...
+        TypeError: expected a torus class or cycle type, got str
+        """
+        if isinstance(tau, TorusClass):
+            return tau
+        if isinstance(tau, SignedCycleType):
+            return cls(tau, "+" if tau.is_split_eligible() else None)
+        raise TypeError(f"expected a torus class or cycle type, got {type(tau).__name__}")
+
     def literal(self) -> str:
         base = self.ctype.literal()
         return f"{base}:{self.split}" if self.split else base

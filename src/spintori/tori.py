@@ -159,11 +159,8 @@ def closed_form_decomposition(tau) -> TorusDecomposition:
     >>> [f.terms for f in closed_form_decomposition(SignedCycleType.parse("4")).factors]
     [((2, 1),), ((2, -1),)]
     """
-    if isinstance(tau, TorusClass):
-        ctype, split = tau.ctype, tau.split
-    else:
-        ctype = tau
-        split = "+" if ctype.is_split_eligible() else None
+    cls = TorusClass.coerce(tau)
+    ctype, split = cls.ctype, cls.split
     lengths, signs = ctype.lengths, ctype.signs
     idx = range(len(lengths))
     pos_odd = [(i, lengths[i]) for i in idx if signs[i] > 0 and lengths[i] % 2]
@@ -242,7 +239,7 @@ def torus_order(tau, q: int) -> int:
     >>> torus_order(SignedCycleType.parse("1,-3"), 3)
     56
     """
-    ctype = tau.ctype if isinstance(tau, TorusClass) else tau
+    ctype = TorusClass.coerce(tau).ctype
     out = 1
     for length, sign in zip(ctype.lengths, ctype.signs):
         out *= q**length - sign

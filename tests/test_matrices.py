@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintori import (
     FORM_MINUS,
@@ -9,6 +11,8 @@ from spintori import (
     PipelineDegenerateError,
     SignedCycleType,
     TorusClass,
+    canonical_invariants,
+    closed_form_decomposition,
     determinant,
     enumerate_classes,
     format_matrix_text,
@@ -16,12 +20,14 @@ from spintori import (
     parse_matrix_text,
     reduced_form_identity,
     reduced_torus_matrix,
+    representative,
     torus_matrix,
     torus_order,
     transition_matrix,
     weight_action_matrix,
 )
 from spintori.matrices import (
+    _halve_exact,
     coupling_block,
     coupling_matrix,
     cycle_block,
@@ -46,6 +52,57 @@ def multi_part_types(l_max):
                 if len(ct.parts) >= 2 and ct not in seen:
                     seen.add(ct)
                     yield ct
+
+
+def dense_weight_action(w):
+    # the textbook S R S^-1, through two full products and the halving
+    l = w.degree
+    return _halve_exact(
+        mat_mul(mat_mul(transition_matrix(l), permutation_matrix(w)), doubled_inverse_transition(l))
+    )
+
+
+@st.composite
+def signed_permutations(draw, min_degree=2, max_degree=30):
+    l = draw(st.integers(min_degree, max_degree))
+    images = draw(st.permutations(range(1, l + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=l, max_size=l))
+    # pick the coset outright, so both are drawn whatever the sign list
+    if draw(st.booleans()) != (signs.count(-1) % 2 == 1):
+        signs[-1] = -signs[-1]
+    return SignedPermutation(tuple(s * x for s, x in zip(signs, images)))
+
+
+@st.composite
+def torus_classes(draw, min_degree=2, max_degree=30):
+    left = draw(st.integers(min_degree, max_degree))
+    parts = []
+    while left:
+        k = draw(st.integers(1, left))
+        parts.append(draw(st.sampled_from((k, -k))))
+        left -= k
+    ctype = SignedCycleType(tuple(parts))
+    split = draw(st.sampled_from("+-")) if ctype.is_split_eligible() else None
+    return TorusClass(ctype, split)
+
+
+field_sizes = st.one_of(
+    st.sampled_from((2, 4, 25, 2**31 - 1, 2**61 - 1)), st.integers(2, 2**64 - 1)
+)
+
+
+@st.composite
+def matrix_pairs(draw, max_size=7):
+    n, k, m = (draw(st.integers(1, max_size)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**100), 2**100))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        a[i] = [0] * k
+    for j in draw(st.sets(st.integers(0, m - 1))):
+        for row in b:
+            row[j] = 0
+    return a, b
 
 
 class TestBasisMatrices:
@@ -73,6 +130,44 @@ class TestBasisMatrices:
             m = weight_action_matrix(w)
             assert all(isinstance(x, int) for row in m for x in row)
             assert abs(determinant(m)) == 1
+
+
+class TestMatMul:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(matrix_pairs())
+    def test_matches_triple_sum(self, ab):
+        a, b = ab
+        n, k, m = len(a), len(b), len(b[0])
+        expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        assert mat_mul(a, b) == expected
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            mat_mul([[1, 2]], [[1, 2]])
+        with pytest.raises(ValueError):
+            mat_mul([[1], [2]], [[1, 2], [3, 4]])
+
+
+class TestDirectWeightAction:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(signed_permutations())
+    def test_matches_dense_reference(self, w):
+        assert weight_action_matrix(w) == dense_weight_action(w)
+
+    def test_torus_matrix_matches_dense_reference(self):
+        for l in range(2, 11):
+            for form in (FORM_PLUS, FORM_MINUS):
+                for cls in enumerate_classes(l, form):
+                    ref = dense_weight_action(representative(cls))
+                    for q in (2, 25, 2**61 - 1):
+                        expected = [
+                            [q * x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(ref)
+                        ]
+                        assert torus_matrix(cls, q) == expected, (cls.literal(), q)
+
+    def test_odd_entry_is_refused(self):
+        with pytest.raises(ArithmeticError):
+            _halve_exact([[2, 1]])
 
 
 class TestTorusMatrix:
@@ -113,6 +208,17 @@ class TestTorusMatrix:
             for cls in enumerate_classes(l, FORM_MINUS)[:8]:
                 for q in (2, 3, 4):
                     assert twist_factorization_check(cls.ctype, q)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(torus_classes(), field_sizes)
+    def test_order_law_and_routes_agree_past_degree_eight(self, cls, q):
+        a = torus_matrix(cls, q)
+        assert abs(determinant(a)) == torus_order(cls, q)
+        expected = canonical_invariants(closed_form_decomposition(cls).orders(q))
+        assert canonical_invariants(invariant_factors(a)) == expected
+        if len(cls.ctype.parts) >= 2:
+            reduced = invariant_factors(reduced_torus_matrix(cls.ctype, q))
+            assert canonical_invariants(reduced) == expected
 
 
 class TestBlockReduction:

@@ -8,11 +8,14 @@ from spintori import (
     SignedCycleType,
     SignedPermutation,
     TorusClass,
+    closed_form_decomposition,
     conjugate,
     cycle_type,
     enumerate_classes,
     representative,
     standard_representative,
+    torus_matrix,
+    torus_order,
 )
 from spintori.permutations import identity, negate_point, negative_cycle_parity
 
@@ -123,6 +126,30 @@ class TestRepresentatives:
             TorusClass(SignedCycleType((3, 1)), "+")
         with pytest.raises(ValueError):
             TorusClass.parse("2,2:x")
+
+
+class TestCoerce:
+    def test_class_passes_through(self):
+        cls = TorusClass.parse("2,2:-")
+        assert TorusClass.coerce(cls) is cls
+
+    def test_cycle_type_takes_plus_tag_when_split(self):
+        assert TorusClass.coerce(SignedCycleType((2, 2))) == TorusClass.parse("2,2:+")
+        assert TorusClass.coerce(SignedCycleType((3, -1))) == TorusClass.parse("3,-1")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tau: TorusClass.coerce(tau),
+            lambda tau: torus_matrix(tau, 3),
+            lambda tau: closed_form_decomposition(tau),
+            lambda tau: torus_order(tau, 3),
+        ],
+        ids=["coerce", "torus_matrix", "closed_form_decomposition", "torus_order"],
+    )
+    def test_string_is_refused(self, call):
+        with pytest.raises(TypeError):
+            call("2,2")
 
 
 class TestEnumeration:
