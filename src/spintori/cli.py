@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,24 +25,21 @@ from .matrices import (
     PipelineDegenerateError,
     format_matrix_text,
     parse_matrix_text,
-    reduced_form_identity,
-    reduced_torus_matrix,
-    torus_matrix,
 )
 from .permutations import (
     FORM_MINUS,
     FORM_PLUS,
-    SignedCycleType,
     TorusClass,
     enumerate_classes,
 )
-from .smith import invariant_factors, smith_normal_form
+from .smith import smith_normal_form
 from .tori import (
     TorusDecomposition,
-    alternative_decomposition,
     canonical_invariants,
     closed_form_decomposition,
     is_prime_power,
+    oracle_invariants,
+    sweep_checks,
     torus_order,
 )
 
@@ -73,7 +71,7 @@ def _report_entry(dec: TorusDecomposition, q: int | None = None) -> dict:
     if q is not None:
         orders = dec.orders(q)
         invariants = canonical_invariants(orders)
-        oracle = canonical_invariants(invariant_factors(torus_matrix(TorusClass(dec.ctype, dec.split), q)))
+        oracle = oracle_invariants(TorusClass(dec.ctype, dec.split), q)
         entry.update(
             q=q,
             orders=list(orders),
@@ -126,29 +124,25 @@ def _cmd_structure(args) -> int:
             )
             return 1
 
+    entry = _report_entry(dec, args.q)
+    ok = args.q is None or entry["match"]
     if args.format == "json":
-        entry = _report_entry(dec, args.q)
         _emit_json(entry)
-        return 0 if args.q is None or entry["match"] else 1
+        return 0 if ok else 1
 
     print(f"type: {cls.literal()}")
-    print(f"l: {cls.ctype.degree}")
-    print(f"form: {FORM_SIGIL[cls.ctype.form]}")
-    if cls.split is not None:
-        print(f"split: {cls.split}" + (" (defaulted)" if defaulted else ""))
-    print(f"case: {dec.case}")
+    print(f"l: {entry['l']}")
+    print(f"form: {entry['form']}")
+    if entry["split"] is not None:
+        print(f"split: {entry['split']}" + (" (defaulted)" if defaulted else ""))
+    print(f"case: {entry['case']}")
     print(f"structure: {dec.symbolic()}")
-    if args.q is None:
-        return 0
-    orders = dec.orders(args.q)
-    invariants = canonical_invariants(orders)
-    oracle = canonical_invariants(invariant_factors(torus_matrix(cls, args.q)))
-    print(f"q: {args.q}")
-    print(f"orders: {_fmt_ints(orders)}")
-    print(f"invariants: {_fmt_ints(invariants)}")
-    print(f"oracle: {_fmt_ints(oracle)}")
-    ok = invariants == oracle
-    print(f"verdict: {'MATCH' if ok else 'MISMATCH'}")
+    if args.q is not None:
+        print(f"q: {args.q}")
+        print(f"orders: {_fmt_ints(entry['orders'])}")
+        print(f"invariants: {_fmt_ints(entry['invariants'])}")
+        print(f"oracle: {_fmt_ints(entry['oracle_invariants'])}")
+        print(f"verdict: {'MATCH' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 
 
@@ -199,37 +193,19 @@ def _cmd_verify(args) -> int:
 
     failures = []
     total = 0
-    for l in range(2, args.l_max + 1):
-        count = 0
-        fails_before = len(failures)
-        for form in (FORM_PLUS, FORM_MINUS):
-            for cls in enumerate_classes(l, form):
-                dec = closed_form_decomposition(cls)
-                for q in qs:
-                    want = canonical_invariants(dec.orders(q))
-                    got = canonical_invariants(invariant_factors(torus_matrix(cls, q)))
-                    count += 1
-                    if want != got:
-                        failures.append((l, form, cls.literal(), q, "lattice"))
-                    alt = alternative_decomposition(cls, q)
-                    if alt is not None:
-                        count += 1
-                        if canonical_invariants(alt.orders(q)) != want:
-                            failures.append((l, form, cls.literal(), q, "alternative"))
-                    if l <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2:
-                        count += 2
-                        if not reduced_form_identity(cls.ctype, q):
-                            failures.append((l, form, cls.literal(), q, "coupling identity"))
-                        reduced = canonical_invariants(
-                            invariant_factors(reduced_torus_matrix(cls.ctype, q))
-                        )
-                        if reduced != want:
-                            failures.append((l, form, cls.literal(), q, "reduced matrix"))
-        total += count
-        print(f"l={l}: {count} checks, {len(failures) - fails_before} failures")
-    for l, form, literal, q, what in failures:
+    checks = sweep_checks(args.l_max, qs)
+    for l, group in itertools.groupby(checks, key=lambda c: c.cls.ctype.degree):
+        group = list(group)
+        bad = [c for c in group if not c.ok]
+        total += len(group)
+        failures += bad
+        print(f"l={l}: {len(group)} checks, {len(bad)} failures")
+    for c in failures:
+        ctype = c.cls.ctype
         print(
-            f"FAIL l={l} form={FORM_SIGIL[form]} type={literal} q={q}: {what}",
+            f"FAIL l={ctype.degree} form={FORM_SIGIL[ctype.form]} type={c.cls.literal()} "
+            f"q={c.q}: {c.route}; replay: spintori structure --l {ctype.degree} "
+            f"--form {ctype.form} --type={c.cls.literal()} --q {c.q}",
             file=sys.stderr,
         )
     print(f"total: {total} checks, {len(failures)} failures")

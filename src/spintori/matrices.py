@@ -59,7 +59,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     >>> mat_mul([[0, 2], [1, 0]], [[1, 2, 3], [4, 5, 6]])
     [[8, 10, 12], [1, 2, 3]]
     """
-    if len(a[0]) != len(b):
+    if not a or not b or len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
     cols = len(b[0])
     out = []
@@ -78,17 +78,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_scale(c: int, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
-
-
-def block_diagonal(blocks: list[Matrix]) -> Matrix:
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[off + i][off : off + len(row)] = row
-        off += len(b)
-    return out
 
 
 def _halve_exact(a: Matrix) -> Matrix:

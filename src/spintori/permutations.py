@@ -78,10 +78,6 @@ class SignedPermutation:
         """Number of points sent to a negative image."""
         return sum(1 for x in self.images if x < 0)
 
-    def is_even_signed(self) -> bool:
-        """True when the element lies in the type-D subgroup."""
-        return self.sign_count() % 2 == 0
-
 
 def identity(n: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(1, n + 1)))
@@ -247,15 +243,6 @@ def cycle_type(w: SignedPermutation) -> SignedCycleType:
             length += 1
         parts.append(length * sign)
     return SignedCycleType(tuple(parts))
-
-
-def negative_cycle_parity(w: SignedPermutation) -> int:
-    """Parity of the number of negative cycles (0 or 1).
-
-    Equals the parity of the sign count, so it tells the coset of the
-    type-D subgroup that w lies in.
-    """
-    return cycle_type(w).num_negative % 2
 
 
 def standard_representative(ctype: SignedCycleType) -> SignedPermutation:

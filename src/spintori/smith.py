@@ -422,25 +422,6 @@ def _clear_row(block: Matrix, r: int) -> bool:
     return clean
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    """Cokernel shape: nontrivial torsion factors plus the free rank."""
-
-    torsion: tuple[int, ...]
-    free_rank: int
-
-
-def abelian_invariants(a: Matrix) -> AbelianInvariants:
-    """
-    >>> abelian_invariants([[2, 1], [0, 2]])
-    AbelianInvariants(torsion=(4,), free_rank=0)
-    >>> abelian_invariants([[0, 0], [0, 0]])
-    AbelianInvariants(torsion=(), free_rank=2)
-    """
-    factors = invariant_factors(a)
-    return AbelianInvariants(tuple(x for x in factors if x > 1), len(a[0]) - len(factors))
-
-
 # ---------------------------------------------------------------------------
 # 2x2 diagonalization witnesses
 #

@@ -18,41 +18,27 @@ routes it through four mutually exclusive shapes, in this precedence:
 number-theoretic helpers near the bottom instead describe numbers
 additively, as a^n + eps, matching the statements they implement; each
 docstring says which convention it uses.
+
+``sweep_checks`` walks degree x form x class x q once and yields every
+comparison of the closed form with the other routes that ``spintori
+verify`` reports.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator, NamedTuple
 
 from .permutations import (
     FORM_MINUS,
     FORM_PLUS,
     SignedCycleType,
     TorusClass,
+    enumerate_classes,
 )
 from .smith import invariant_factors
-from .matrices import torus_matrix
-
-
-class GroupForm(enum.Enum):
-    PLUS = FORM_PLUS
-    MINUS = FORM_MINUS
-
-    @classmethod
-    def coerce(cls, value) -> "GroupForm":
-        if isinstance(value, GroupForm):
-            return value
-        if value in (FORM_PLUS, "+"):
-            return cls.PLUS
-        if value in (FORM_MINUS, "-"):
-            return cls.MINUS
-        raise ValueError(f"not a group form: {value!r}")
-
-    @property
-    def sign(self) -> int:
-        return 1 if self is GroupForm.PLUS else -1
+from .matrices import reduced_form_identity, reduced_torus_matrix, torus_matrix
 
 
 @dataclass(frozen=True)
@@ -111,10 +97,6 @@ class TorusDecomposition:
     case: str
     factors: tuple[CyclicFactor, ...]
 
-    @property
-    def form(self) -> GroupForm:
-        return GroupForm.coerce(self.ctype.form)
-
     def orders(self, q: int) -> tuple[int, ...]:
         return tuple(f.order(q) for f in self.factors)
 
@@ -123,9 +105,6 @@ class TorusDecomposition:
         for f in self.factors:
             out *= f.order(q)
         return out
-
-    def canonical(self, q: int) -> tuple[int, ...]:
-        return canonical_invariants(self.orders(q))
 
     def symbolic(self) -> str:
         return " x ".join(f"Z_{{{_factor_body(f)}}}" for f in display_factors(self))
@@ -282,6 +261,52 @@ def oracle_invariants(tau, q: int) -> tuple[int, ...]:
     return tuple(x for x in invariant_factors(torus_matrix(tau, q)) if x > 1)
 
 
+class Check(NamedTuple):
+    """One comparison of a sweep: what the closed form predicts for a
+    class at q against what one other route gives."""
+
+    cls: TorusClass
+    q: int
+    route: str
+    want: tuple[int, ...] | bool
+    got: tuple[int, ...] | bool
+
+    @property
+    def ok(self) -> bool:
+        return self.want == self.got
+
+
+def sweep_checks(l_max: int, qs) -> Iterator[Check]:
+    """Every check of ``spintori verify``, in degree order: for each
+    class of degree 2..l_max, both forms, and each q, the closed form
+    against the lattice SNF (route ``lattice``) and against the
+    alternative decomposition where one exists (``alternative``).  For
+    l <= 6, a class with at least two parts and split tag other than
+    '-' also checks the basis-change identity (``coupling identity``,
+    want True) and the block-eliminated matrix (``reduced matrix``).
+
+    >>> [(c.route, c.ok) for c in sweep_checks(2, [3]) if c.cls.literal() == "1,-1"]
+    [('lattice', True), ('coupling identity', True), ('reduced matrix', True)]
+    """
+    for l in range(2, l_max + 1):
+        for form in (FORM_PLUS, FORM_MINUS):
+            for cls in enumerate_classes(l, form):
+                dec = closed_form_decomposition(cls)
+                has_reduced = l <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
+                for q in qs:
+                    want = canonical_invariants(dec.orders(q))
+                    yield Check(cls, q, "lattice", want, oracle_invariants(cls, q))
+                    alt = alternative_decomposition(cls, q)
+                    if alt is not None:
+                        yield Check(cls, q, "alternative", want, canonical_invariants(alt.orders(q)))
+                    if has_reduced:
+                        identity = reduced_form_identity(cls.ctype, q)
+                        yield Check(cls, q, "coupling identity", True, identity)
+                        m = reduced_torus_matrix(cls.ctype, q)
+                        got = canonical_invariants(invariant_factors(m))
+                        yield Check(cls, q, "reduced matrix", want, got)
+
+
 # ---------------------------------------------------------------------------
 # centers
 
@@ -289,6 +314,7 @@ def oracle_invariants(tau, q: int) -> tuple[int, ...]:
 def center_invariants(l: int, form, q: int) -> tuple[int, ...]:
     """Invariants of the center: (gcd(2,q-1))^2 for form plus with l
     even, else the cyclic gcd(4, q^l - sign).  Trivial factors dropped.
+    The form is FORM_PLUS or FORM_MINUS; anything else is a ValueError.
 
     >>> center_invariants(4, "plus", 3)
     (2, 2)
@@ -297,14 +323,15 @@ def center_invariants(l: int, form, q: int) -> tuple[int, ...]:
     >>> center_invariants(3, "minus", 3)
     (4,)
     """
-    form = GroupForm.coerce(form)
+    if form not in (FORM_PLUS, FORM_MINUS):
+        raise ValueError(f"not a group form: {form!r}")
     if l < 2:
         raise ValueError("degree must be at least 2")
-    if form is GroupForm.PLUS and l % 2 == 0:
+    if form == FORM_PLUS and l % 2 == 0:
         d = gcd(2, q - 1)
         raw: tuple[int, ...] = (d, d)
     else:
-        raw = (gcd(4, q**l - form.sign),)
+        raw = (gcd(4, q**l - (1 if form == FORM_PLUS else -1)),)
     return tuple(x for x in raw if x > 1)
 
 

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,6 @@ from spintori import (
     TorusClass,
     canonical_invariants,
     center_invariants,
-    closed_form_decomposition,
     determinant,
     diagonalization_witnesses,
     embeds,
@@ -30,6 +29,7 @@ from spintori import (
     power_two_part,
     reduced_form_identity,
     reduced_torus_matrix,
+    sweep_checks,
     torus_matrix,
     torus_order,
     two_part,
@@ -40,38 +40,9 @@ GOLDEN = Path(__file__).parent / "golden"
 SWEEP_QS = (2, 3, 4, 5, 7, 9, 11, 13, 16, 25)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    l: int
-    form: str
-    cls: TorusClass
-    q: int
-    closed: tuple[int, ...]
-    lattice: tuple[int, ...]
-    absdet: int
-
-
 @pytest.fixture(scope="module")
 def sweep():
-    records = []
-    for l in range(2, 9):
-        for form in (FORM_PLUS, FORM_MINUS):
-            for cls in enumerate_classes(l, form):
-                dec = closed_form_decomposition(cls)
-                for q in SWEEP_QS:
-                    a = torus_matrix(cls, q)
-                    records.append(
-                        SweepRecord(
-                            l,
-                            form,
-                            cls,
-                            q,
-                            canonical_invariants(dec.orders(q)),
-                            tuple(x for x in invariant_factors(a) if x > 1),
-                            abs(determinant(a)),
-                        )
-                    )
-    return records
+    return list(sweep_checks(8, SWEEP_QS))
 
 
 def run_cli(*args):
@@ -94,23 +65,24 @@ def test_table_reproduction_degree_four():
 
 
 def test_closed_form_matches_lattice_everywhere(sweep):
-    assert len(sweep) == sum(
-        len(enumerate_classes(l, f)) * len(SWEEP_QS)
-        for l in range(2, 9)
-        for f in (FORM_PLUS, FORM_MINUS)
-    )
-    for rec in sweep:
-        assert rec.closed == rec.lattice, (
-            f"routes disagree at l={rec.l} form={rec.form} "
-            f"type={rec.cls.literal()} q={rec.q}"
+    # the counts ``spintori verify --l-max 8`` prints at these q; the
+    # lattice checks are one per class and q, 4420 in all
+    per_degree = Counter(c.cls.ctype.degree for c in sweep)
+    assert per_degree == {2: 120, 3: 260, 4: 587, 5: 1054, 6: 1996, 7: 1198, 8: 2152}
+    assert sum(c.route == "lattice" for c in sweep) == 4420
+    for c in sweep:
+        assert c.ok, (
+            f"routes disagree at l={c.cls.ctype.degree} form={c.cls.ctype.form} "
+            f"type={c.cls.literal()} q={c.q}: {c.route}"
         )
 
 
 def test_order_law(sweep):
-    for rec in sweep:
-        order = torus_order(rec.cls, rec.q)
-        assert math.prod(rec.closed) == order
-        assert rec.absdet == order
+    for c in sweep:
+        if c.route == "lattice":
+            order = torus_order(c.cls, c.q)
+            assert math.prod(c.want) == order
+            assert abs(determinant(torus_matrix(c.cls, c.q))) == order
 
 
 def test_split_pairs_have_identical_invariants():

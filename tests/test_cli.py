@@ -1,11 +1,12 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from spintori import TorusClass, cli, format_matrix_text, torus_matrix
+from spintori import TorusClass, cli, format_matrix_text, tori, torus_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -153,10 +154,38 @@ class TestVerify:
     def test_small_sweep(self):
         res = run("verify", "--l-max", "3", "--q", "2,3")
         assert res.returncode == 0
-        lines = res.stdout.splitlines()
-        assert lines[0].startswith("l=2:")
-        assert lines[-1].startswith("total:")
-        assert lines[-1].endswith("0 failures")
+        assert res.stdout == (
+            "l=2: 24 checks, 0 failures\n"
+            "l=3: 52 checks, 0 failures\n"
+            "total: 76 checks, 0 failures\n"
+        )
+        assert res.stderr == ""
+
+    def test_failure_prints_a_working_replay_command(self, monkeypatch, capsys):
+        # break the lattice matrix of one class at one q: doubling a row
+        # doubles |det|, so the lattice invariants stop matching
+        real = tori.torus_matrix
+
+        def broken(tau, q):
+            m = real(tau, q)
+            if TorusClass.coerce(tau).literal() == "-1,-1,-1" and q == 3:
+                m = [[2 * x for x in m[0]]] + m[1:]
+            return m
+
+        monkeypatch.setattr(tori, "torus_matrix", broken)
+        assert cli.main(["verify", "--l-max", "3", "--q", "2,3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            "l=2: 24 checks, 0 failures\n"
+            "l=3: 52 checks, 1 failures\n"
+            "total: 76 checks, 1 failures\n"
+        )
+        (line,) = err.splitlines()
+        assert line.startswith("FAIL l=3 form=- type=-1,-1,-1 q=3: lattice; replay: ")
+        replay = shlex.split(line.split("; replay: ")[1])
+        assert replay[0] == "spintori"
+        assert cli.main(replay[1:]) == 1
+        assert "verdict: MISMATCH\n" in capsys.readouterr().out
 
     def test_rejects_bad_degree(self):
         assert run("verify", "--l-max", "1").returncode == 2

@@ -146,6 +146,10 @@ class TestMatMul:
             mat_mul([[1, 2]], [[1, 2]])
         with pytest.raises(ValueError):
             mat_mul([[1], [2]], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            mat_mul([], [[1, 2]])
+        with pytest.raises(ValueError):
+            mat_mul([[]], [])
 
 
 class TestDirectWeightAction:

@@ -17,7 +17,7 @@ from spintori import (
     torus_matrix,
     torus_order,
 )
-from spintori.permutations import identity, negate_point, negative_cycle_parity
+from spintori.permutations import identity, negate_point
 
 from oracle_tools import conjugacy_orbits, coset_elements, orbit_type_census
 
@@ -97,12 +97,6 @@ class TestCycleType:
         assert SignedCycleType((4, 2, 2)).is_split_eligible()
         assert not SignedCycleType((4, 1)).is_split_eligible()
         assert not SignedCycleType((4, -2)).is_split_eligible()
-
-    def test_negative_cycle_parity_matches_sign_count(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            w = random_element(rng, 6)
-            assert negative_cycle_parity(w) == w.sign_count() % 2
 
 
 class TestRepresentatives:

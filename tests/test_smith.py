@@ -10,7 +10,6 @@ from spintori import (
     FORM_PLUS,
     SnfResult,
     TorusClass,
-    abelian_invariants,
     canonical_invariants,
     closed_form_decomposition,
     determinant,
@@ -109,14 +108,6 @@ class TestSmithNormalForm:
     def test_invariant_factors_examples(self):
         assert invariant_factors([[2, 1], [0, 2]]) == (1, 4)
         assert invariant_factors([[0, 0], [0, 0]]) == ()
-
-    def test_abelian_invariants_examples(self):
-        res = abelian_invariants([[2, 1], [0, 2]])
-        assert res.torsion == (4,)
-        assert res.free_rank == 0
-        res = abelian_invariants([[0, 0], [0, 0]])
-        assert res.torsion == ()
-        assert res.free_rank == 2
 
     def check(self, m):
         res = smith_normal_form(m)

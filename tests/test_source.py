@@ -18,3 +18,10 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_exports_resolve():
+    # a name deleted from the library must leave ``__all__`` with it
+    assert len(spintori.__all__) == len(set(spintori.__all__))
+    missing = [name for name in spintori.__all__ if not hasattr(spintori, name)]
+    assert missing == []

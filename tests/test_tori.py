@@ -7,7 +7,6 @@ from spintori import (
     FORM_MINUS,
     FORM_PLUS,
     CyclicFactor,
-    GroupForm,
     SignedCycleType,
     TorusClass,
     alternative_decomposition,
@@ -176,6 +175,8 @@ class TestCenter:
         assert center_invariants(3, FORM_MINUS, 3) == (4,)
         assert center_invariants(3, FORM_PLUS, 5) == (4,)
         assert center_invariants(4, FORM_PLUS, 2) == ()
+        with pytest.raises(ValueError):
+            center_invariants(4, "twisted", 3)
 
     def test_embeds_in_every_torus_spot(self):
         for l, form, q in ((3, FORM_PLUS, 3), (4, FORM_MINUS, 5), (5, FORM_PLUS, 2)):
@@ -299,16 +300,3 @@ class TestRendering:
         # [2,2] splits one part into q-1 and q+1 as separate factors,
         # which must not merge into a single q^2-1
         assert symbolic_decomposition(T("2,2")).count("x") == 2
-
-
-class TestGroupForm:
-    def test_coerce(self):
-        assert GroupForm.coerce("plus") is GroupForm.PLUS
-        assert GroupForm.coerce("-") is GroupForm.MINUS
-        assert GroupForm.coerce(GroupForm.PLUS) is GroupForm.PLUS
-        with pytest.raises(ValueError):
-            GroupForm.coerce("twisted")
-
-    def test_sign(self):
-        assert GroupForm.PLUS.sign == 1
-        assert GroupForm.MINUS.sign == -1
