@@ -34,11 +34,11 @@ from .permutations import (
 )
 from .smith import smith_normal_form
 from .tori import (
+    Check,
     TorusDecomposition,
-    canonical_invariants,
+    class_checks,
     closed_form_decomposition,
     is_prime_power,
-    oracle_invariants,
     sweep_checks,
     torus_order,
 )
@@ -59,7 +59,7 @@ def _fmt_ints(values) -> str:
     return ", ".join(str(v) for v in values) if values else "(none)"
 
 
-def _report_entry(dec: TorusDecomposition, q: int | None = None) -> dict:
+def _report_entry(dec: TorusDecomposition, lattice: Check | None = None) -> dict:
     entry = {
         "l": dec.ctype.degree,
         "form": FORM_SIGIL[dec.ctype.form],
@@ -68,16 +68,13 @@ def _report_entry(dec: TorusDecomposition, q: int | None = None) -> dict:
         "case": dec.case,
         "factors": [[list(t) for t in f.terms] for f in dec.factors],
     }
-    if q is not None:
-        orders = dec.orders(q)
-        invariants = canonical_invariants(orders)
-        oracle = oracle_invariants(TorusClass(dec.ctype, dec.split), q)
+    if lattice is not None:
         entry.update(
-            q=q,
-            orders=list(orders),
-            invariants=list(invariants),
-            oracle_invariants=list(oracle),
-            match=invariants == oracle,
+            q=lattice.q,
+            orders=list(dec.orders(lattice.q)),
+            invariants=list(lattice.want),
+            oracle_invariants=list(lattice.got),
+            match=lattice.ok,
         )
     return entry
 
@@ -113,6 +110,7 @@ def _cmd_structure(args) -> int:
         cls = TorusClass(cls.ctype, "+")
         defaulted = True
     dec = closed_form_decomposition(cls)
+    checks = []
     if args.q is not None:
         _warn_composite_q(args.q)
         closed, direct = dec.order(args.q), torus_order(cls, args.q)
@@ -123,9 +121,13 @@ def _cmd_structure(args) -> int:
                 file=sys.stderr,
             )
             return 1
+        checks = list(class_checks(cls, args.q, dec))
+        for c in (c for c in checks if not c.ok):
+            msg = f"FAIL {c.route} for {cls.literal()} at q={args.q}: want {c.want}, got {c.got}"
+            print(msg, file=sys.stderr)
 
-    entry = _report_entry(dec, args.q)
-    ok = args.q is None or entry["match"]
+    entry = _report_entry(dec, checks[0] if checks else None)
+    ok = all(c.ok for c in checks)
     if args.format == "json":
         _emit_json(entry)
         return 0 if ok else 1

@@ -19,15 +19,19 @@ number-theoretic helpers near the bottom instead describe numbers
 additively, as a^n + eps, matching the statements they implement; each
 docstring says which convention it uses.
 
-``sweep_checks`` walks degree x form x class x q once and yields every
-comparison of the closed form with the other routes that ``spintori
-verify`` reports.
+``class_checks`` yields every comparison of the closed form with the
+other routes for one class at one q; ``sweep_checks`` runs it over
+degree x form x class x q for ``spintori verify``, and ``spintori
+structure --q`` runs it for the one class it is given, so any failed
+check replays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cache
+from math import gcd, prod
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .permutations import (
@@ -67,9 +71,10 @@ class CyclicFactor:
             self, "terms", tuple(sorted(self.terms, key=lambda t: (-t[0], -t[1])))
         )
 
-    @classmethod
-    def single(cls, a: int, eps: int) -> "CyclicFactor":
-        return cls(((a, eps),))
+    @staticmethod
+    @cache  # immutable, so shared; degree l asks for at most 2l keys
+    def single(a: int, eps: int) -> "CyclicFactor":
+        return CyclicFactor(((a, eps),))
 
     @property
     def degree(self) -> int:
@@ -101,18 +106,34 @@ class TorusDecomposition:
         return tuple(f.order(q) for f in self.factors)
 
     def order(self, q: int) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.order(q)
-        return out
+        return prod(self.orders(q))
 
     def symbolic(self) -> str:
         return " x ".join(f"Z_{{{_factor_body(f)}}}" for f in display_factors(self))
 
 
 def _choose(indexed: list[tuple[int, int]]) -> int:
-    """Pick the index of the smallest length, earliest among ties."""
-    return min(indexed, key=lambda iv: (iv[1], iv[0]))[0]
+    """Pick the index of the smallest length, earliest among ties
+    (``indexed`` is in index order and ``min`` keeps the first)."""
+    return min(indexed, key=itemgetter(1))[0]
+
+
+def _sides(lengths, signs):
+    """(index, length) lists of the positive odd, negated odd and
+    negated even parts, in index order."""
+    pos_odd, neg_odd, neg_even = [], [], []
+    for i, (a, eps) in enumerate(zip(lengths, signs)):
+        if a % 2:
+            (pos_odd if eps > 0 else neg_odd).append((i, a))
+        elif eps < 0:
+            neg_even.append((i, a))
+    return pos_odd, neg_odd, neg_even
+
+
+def _standard(lengths, signs, *skip) -> tuple[CyclicFactor, ...]:
+    """The standard factor of every part whose index is not in skip."""
+    pairs = enumerate(zip(lengths, signs))
+    return tuple(CyclicFactor.single(a, eps) for k, (a, eps) in pairs if k not in skip)
 
 
 def two_part(n: int) -> int:
@@ -141,36 +162,26 @@ def closed_form_decomposition(tau) -> TorusDecomposition:
     cls = TorusClass.coerce(tau)
     ctype, split = cls.ctype, cls.split
     lengths, signs = ctype.lengths, ctype.signs
-    idx = range(len(lengths))
-    pos_odd = [(i, lengths[i]) for i in idx if signs[i] > 0 and lengths[i] % 2]
-    neg_odd = [(i, lengths[i]) for i in idx if signs[i] < 0 and lengths[i] % 2]
-    neg_even = [(i, lengths[i]) for i in idx if signs[i] < 0 and lengths[i] % 2 == 0]
-
-    def rest(*skip) -> tuple[CyclicFactor, ...]:
-        return tuple(
-            CyclicFactor.single(lengths[k], signs[k]) for k in idx if k not in skip
-        )
+    pos_odd, neg_odd, neg_even = _sides(lengths, signs)
 
     if pos_odd and neg_odd:
-        i = _choose(pos_odd)
-        j = _choose(neg_odd)
-        composite = CyclicFactor(((lengths[i], 1), (lengths[j], -1)))
-        return TorusDecomposition(ctype, split, "i", (composite,) + rest(i, j))
+        i, j = _choose(pos_odd), _choose(neg_odd)
+        head = CyclicFactor(((lengths[i], 1), (lengths[j], -1)))
+        return TorusDecomposition(ctype, split, "i", (head,) + _standard(lengths, signs, i, j))
 
     if (pos_odd or neg_odd) and neg_even:
-        i = _choose(pos_odd or neg_odd)
-        j = _choose(neg_even)
-        composite = CyclicFactor(((lengths[i], signs[i]), (lengths[j], -1)))
-        return TorusDecomposition(ctype, split, "ii", (composite,) + rest(i, j))
+        i, j = _choose(pos_odd or neg_odd), _choose(neg_even)
+        head = CyclicFactor(((lengths[i], signs[i]), (lengths[j], -1)))
+        return TorusDecomposition(ctype, split, "ii", (head,) + _standard(lengths, signs, i, j))
 
     if ctype.is_split_eligible():
-        i = _choose([(k, lengths[k]) for k in idx
-                     if two_part(lengths[k]) == min(two_part(v) for v in lengths)])
+        least = min(two_part(a) for a in lengths)
+        i = _choose([(k, a) for k, a in enumerate(lengths) if two_part(a) == least])
         half = lengths[i] // 2
-        factors = (CyclicFactor.single(half, 1), CyclicFactor.single(half, -1)) + rest(i)
-        return TorusDecomposition(ctype, split, "iii", factors)
+        halves = (CyclicFactor.single(half, 1), CyclicFactor.single(half, -1))
+        return TorusDecomposition(ctype, split, "iii", halves + _standard(lengths, signs, i))
 
-    return TorusDecomposition(ctype, split, "iv", rest())
+    return TorusDecomposition(ctype, split, "iv", _standard(lengths, signs))
 
 
 def alternative_decomposition(tau, q: int) -> TorusDecomposition | None:
@@ -178,28 +189,23 @@ def alternative_decomposition(tau, q: int) -> TorusDecomposition | None:
     even length and q is odd: the composite is re-anchored on the even
     part, paired with whichever odd part has sign eps with
     q = eps mod 4.  Returns None when inapplicable.  Isomorphic to the
-    primary decomposition (an exchange identity on the 2-parts).
+    primary decomposition (an exchange identity on the 2-parts).  Case i
+    is decided from the parts as ``closed_form_decomposition`` decides
+    it first (odd lengths in both L' and L''), without building that
+    decomposition.
     """
     if q % 2 == 0:
         return None
-    base = closed_form_decomposition(tau)
-    if base.case != "i":
+    cls = TorusClass.coerce(tau)
+    lengths, signs = cls.ctype.lengths, cls.ctype.signs
+    pos_odd, neg_odd, neg_even = _sides(lengths, signs)
+    if not (pos_odd and neg_odd and neg_even):
         return None
-    ctype, split = base.ctype, base.split
-    lengths, signs = ctype.lengths, ctype.signs
-    idx = range(len(lengths))
-    neg_even = [(i, lengths[i]) for i in idx if signs[i] < 0 and lengths[i] % 2 == 0]
-    if not neg_even:
-        return None
-    pos_odd = [(i, lengths[i]) for i in idx if signs[i] > 0 and lengths[i] % 2]
-    neg_odd = [(i, lengths[i]) for i in idx if signs[i] < 0 and lengths[i] % 2]
     t = _choose(pos_odd) if q % 4 == 1 else _choose(neg_odd)
     k = _choose(neg_even)
     composite = CyclicFactor(((lengths[t], signs[t]), (lengths[k], -1)))
-    others = tuple(
-        CyclicFactor.single(lengths[n], signs[n]) for n in idx if n not in (t, k)
-    )
-    return TorusDecomposition(ctype, split, base.case, (composite,) + others)
+    factors = (composite,) + _standard(lengths, signs, t, k)
+    return TorusDecomposition(cls.ctype, cls.split, "i", factors)
 
 
 def evaluate(tau, q: int) -> tuple[int, ...]:
@@ -219,15 +225,18 @@ def torus_order(tau, q: int) -> int:
     56
     """
     ctype = TorusClass.coerce(tau).ctype
-    out = 1
-    for length, sign in zip(ctype.lengths, ctype.signs):
-        out *= q**length - sign
-    return out
+    return prod(q**length - sign for length, sign in zip(ctype.lengths, ctype.signs))
 
 
 def canonical_invariants(orders) -> tuple[int, ...]:
     """Canonical divisor chain of a direct product of cyclic groups,
     trivial factors dropped.  Pure gcd/lcm sifting, no factorization.
+
+    One pass suffices.  Row i replaces (v_i, v_j) by (gcd, lcm), which
+    keeps the group, for each j > i; v_i only shrinks to its own
+    divisors, so after row i it divides every later entry.  Later rows
+    keep that true, since the gcd and lcm of multiples of v_i are
+    multiples of v_i.  So the result is a divisor chain, in order.
 
     >>> canonical_invariants([10, 8])
     (2, 40)
@@ -242,17 +251,16 @@ def canonical_invariants(orders) -> tuple[int, ...]:
             raise ValueError(f"orders must be positive, got {n}")
         if n > 1:
             vals.append(int(n))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a:
-                    g = gcd(a, b)
-                    vals[i], vals[j] = g, a * b // g
-                    changed = True
-    return tuple(sorted(v for v in vals if v > 1))
+    for i in range(len(vals)):
+        a = vals[i]
+        for j in range(i + 1, len(vals)):
+            b = vals[j]
+            if b % a:
+                g = gcd(a, b)
+                vals[j] = a // g * b
+                a = g
+        vals[i] = a
+    return tuple(v for v in vals if v > 1)
 
 
 def oracle_invariants(tau, q: int) -> tuple[int, ...]:
@@ -276,35 +284,39 @@ class Check(NamedTuple):
         return self.want == self.got
 
 
-def sweep_checks(l_max: int, qs) -> Iterator[Check]:
-    """Every check of ``spintori verify``, in degree order: for each
-    class of degree 2..l_max, both forms, and each q, the closed form
-    against the lattice SNF (route ``lattice``) and against the
-    alternative decomposition where one exists (``alternative``).  For
-    l <= 6, a class with at least two parts and split tag other than
-    '-' also checks the basis-change identity (``coupling identity``,
-    want True) and the block-eliminated matrix (``reduced matrix``).
+def class_checks(cls: TorusClass, q: int, dec: TorusDecomposition) -> Iterator[Check]:
+    """Every comparison of the closed form ``dec`` of ``cls`` at q: the
+    lattice SNF (route ``lattice``), the alternative decomposition
+    where one exists (``alternative``), and for l <= 6, a class with at
+    least two parts and split tag other than '-', the basis-change
+    identity (``coupling identity``, want True) and the block-eliminated
+    matrix (``reduced matrix``).
 
-    >>> [(c.route, c.ok) for c in sweep_checks(2, [3]) if c.cls.literal() == "1,-1"]
+    >>> cls = TorusClass.parse("1,-1")
+    >>> [(c.route, c.ok) for c in class_checks(cls, 3, closed_form_decomposition(cls))]
     [('lattice', True), ('coupling identity', True), ('reduced matrix', True)]
     """
+    want = canonical_invariants(dec.orders(q))
+    yield Check(cls, q, "lattice", want, oracle_invariants(cls, q))
+    alt = alternative_decomposition(cls, q)
+    if alt is not None:
+        yield Check(cls, q, "alternative", want, canonical_invariants(alt.orders(q)))
+    if cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2:
+        yield Check(cls, q, "coupling identity", True, reduced_form_identity(cls.ctype, q))
+        got = canonical_invariants(invariant_factors(reduced_torus_matrix(cls.ctype, q)))
+        yield Check(cls, q, "reduced matrix", want, got)
+
+
+def sweep_checks(l_max: int, qs) -> Iterator[Check]:
+    """Every check of ``spintori verify``, in degree order: the
+    ``class_checks`` of each class of degree 2..l_max, both forms, at
+    each q."""
     for l in range(2, l_max + 1):
         for form in (FORM_PLUS, FORM_MINUS):
             for cls in enumerate_classes(l, form):
                 dec = closed_form_decomposition(cls)
-                has_reduced = l <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
                 for q in qs:
-                    want = canonical_invariants(dec.orders(q))
-                    yield Check(cls, q, "lattice", want, oracle_invariants(cls, q))
-                    alt = alternative_decomposition(cls, q)
-                    if alt is not None:
-                        yield Check(cls, q, "alternative", want, canonical_invariants(alt.orders(q)))
-                    if has_reduced:
-                        identity = reduced_form_identity(cls.ctype, q)
-                        yield Check(cls, q, "coupling identity", True, identity)
-                        m = reduced_torus_matrix(cls.ctype, q)
-                        got = canonical_invariants(invariant_factors(m))
-                        yield Check(cls, q, "reduced matrix", want, got)
+                    yield from class_checks(cls, q, dec)
 
 
 # ---------------------------------------------------------------------------

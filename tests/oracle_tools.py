@@ -5,6 +5,7 @@ is decided by conjugating actual group elements, so the enumeration in
 the package is checked against something it does not share code with.
 """
 
+from functools import cache
 from itertools import permutations, product
 
 from spintori import SignedPermutation, conjugate, cycle_type
@@ -35,9 +36,11 @@ def coset_elements(l: int, parity: int):
     return out
 
 
-def conjugacy_orbits(l: int, parity: int) -> list[set]:
-    """Orbits of even-sign conjugation on the given coset, as sets of
-    image tuples.  Exponential in l; fine up to l = 6 or so."""
+@cache
+def conjugacy_orbits(l: int, parity: int) -> tuple[frozenset, ...]:
+    """Orbits of even-sign conjugation on the given coset, as frozensets
+    of image tuples.  Exponential in l; fine up to l = 6 or so.  Built
+    once per (l, parity) and shared, hence immutable."""
     gens = group_generators(l)
     todo = set(coset_elements(l, parity))
     orbits = []
@@ -54,8 +57,8 @@ def conjugacy_orbits(l: int, parity: int) -> list[set]:
                     orbit.add(c)
                     queue.append(c)
         todo -= orbit
-        orbits.append(orbit)
-    return orbits
+        orbits.append(frozenset(orbit))
+    return tuple(orbits)
 
 
 def orbit_type_census(l: int, parity: int):

@@ -2,11 +2,12 @@ import json
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from spintori import TorusClass, cli, format_matrix_text, tori, torus_matrix
+from spintori import CyclicFactor, TorusClass, cli, format_matrix_text, tori, torus_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,6 +187,41 @@ class TestVerify:
         assert replay[0] == "spintori"
         assert cli.main(replay[1:]) == 1
         assert "verdict: MISMATCH\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "route,target,breaker,literal",
+        [
+            ("alternative", "alternative_decomposition",
+             lambda alt: replace(alt, factors=alt.factors + (CyclicFactor.single(1, -1),)),
+             "1,-2,-1"),
+            ("coupling identity", "reduced_form_identity", lambda ok: False, "1,-1"),
+            ("reduced matrix", "reduced_torus_matrix",
+             lambda m: [[2 * x for x in m[0]]] + m[1:], "1,-1"),
+        ],
+        ids=["alternative", "coupling-identity", "reduced-matrix"],
+    )
+    def test_failure_of_any_route_replays(
+        self, monkeypatch, capsys, route, target, breaker, literal
+    ):
+        # break one route for one class at q = 3: the lattice route
+        # still matches, so the replay must re-check every route
+        real = getattr(tori, target)
+
+        def broken(tau, q):
+            out = real(tau, q)
+            return breaker(out) if tau.literal() == literal and q == 3 else out
+
+        monkeypatch.setattr(tori, target, broken)
+        assert cli.main(["verify", "--l-max", "4", "--q", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith(" checks, 1 failures\n")
+        (line,) = err.splitlines()
+        assert f" type={literal} q=3: {route}; replay: " in line
+        replay = shlex.split(line.split("; replay: ")[1])
+        assert cli.main(replay[1:]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("verdict: MISMATCH\n")
+        assert err.startswith(f"FAIL {route} for {literal} at q=3: ")
 
     def test_rejects_bad_degree(self):
         assert run("verify", "--l-max", "1").returncode == 2

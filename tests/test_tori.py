@@ -1,7 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintori import (
     FORM_MINUS,
@@ -29,6 +32,15 @@ from spintori import (
 )
 
 T = SignedCycleType.parse
+
+ACCEPTANCE_QS = (2, 3, 4, 5, 7, 9, 11, 13, 16, 25)
+M61 = 2**61 - 1
+
+
+def all_classes(l_max):
+    for l in range(2, l_max + 1):
+        for form in (FORM_PLUS, FORM_MINUS):
+            yield from enumerate_classes(l, form)
 
 
 class TestCaseRouting:
@@ -136,6 +148,60 @@ class TestAlternativeDecomposition:
                         )
 
 
+def reference_alternative(cls, q):
+    """The alternative decomposition as first specified, written from
+    the parts alone: None unless q is odd, the class is in case i and
+    L'' holds an even length; otherwise the shortest negated even part
+    pairs with the shortest odd part of sign eps, q = eps mod 4
+    (earliest among ties), and every other part is standard."""
+    parts = cls.ctype.parts
+    neg_even = [i for i, p in enumerate(parts) if p < 0 and p % 2 == 0]
+    if q % 2 == 0 or closed_form_decomposition(cls).case != "i" or not neg_even:
+        return None
+    eps = 1 if q % 4 == 1 else -1
+    odd = [i for i, p in enumerate(parts) if p % 2 and (p > 0) == (eps > 0)]
+    t = min(odd, key=lambda i: (abs(parts[i]), i))
+    k = min(neg_even, key=lambda i: (abs(parts[i]), i))
+    pair = [(abs(parts[t]), eps), (abs(parts[k]), -1)]
+    composite = tuple(sorted(pair, key=lambda x: (-x[0], -x[1])))
+    rest = [((abs(p), 1 if p > 0 else -1),) for i, p in enumerate(parts) if i not in (t, k)]
+    return [composite] + rest
+
+
+class TestAlternativePinned:
+    def test_matches_reference_through_degree_ten(self):
+        seen = 0
+        for cls in all_classes(10):
+            for q in ACCEPTANCE_QS + (M61,):
+                alt = alternative_decomposition(cls, q)
+                want = reference_alternative(cls, q)
+                if want is None:
+                    assert alt is None, (cls.literal(), q)
+                    continue
+                seen += 1
+                assert alt.case == "i"
+                assert (alt.ctype, alt.split) == (cls.ctype, cls.split)
+                assert [f.terms for f in alt.factors] == want, (cls.literal(), q)
+        assert seen > 1000
+
+    def test_single_rejects_bad_terms(self):
+        with pytest.raises(ValueError):
+            CyclicFactor.single(0, 1)
+        with pytest.raises(ValueError):
+            CyclicFactor.single(1, 0)
+        assert CyclicFactor.single(2, -1).terms == ((2, -1),)
+
+
+def order_lists():
+    near_m61 = st.integers(2**61 - 2**20, 2**61 + 2**20)
+    term = st.tuples(near_m61, st.integers(1, 4), st.sampled_from((1, -1)))
+    large = st.lists(term, min_size=1, max_size=3).map(
+        lambda ts: math.prod(q**a - eps for q, a, eps in ts)
+    )
+    entry = st.one_of(st.just(1), st.integers(1, 60), st.integers(1, 2**64), large)
+    return st.lists(entry, min_size=0, max_size=20)
+
+
 class TestCanonicalInvariants:
     def test_known_values(self):
         assert canonical_invariants([10, 8]) == (2, 40)
@@ -157,6 +223,14 @@ class TestCanonicalInvariants:
             ]
             want = tuple(x for x in invariant_factors(diag) if x > 1)
             assert canonical_invariants(orders) == want
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(order_lists())
+    def test_property_against_diagonal_snf(self, orders):
+        n = len(orders)
+        diag = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        want = tuple(x for x in invariant_factors(diag) if x > 1) if n else ()
+        assert canonical_invariants(orders) == want
 
     def test_chain_divides(self):
         rng = random.Random(43)
@@ -300,3 +374,29 @@ class TestRendering:
         # [2,2] splits one part into q-1 and q+1 as separate factors,
         # which must not merge into a single q^2-1
         assert symbolic_decomposition(T("2,2")).count("x") == 2
+
+
+def closed_form_digest(l_max, qs):
+    """SHA-256 over the closed form, its canonical invariants and the
+    alternative decomposition of every class with l <= l_max at each q."""
+
+    def shape(dec):
+        return None if dec is None else (dec.case, dec.split, [f.terms for f in dec.factors])
+
+    h = hashlib.sha256()
+    for cls in all_classes(l_max):
+        dec = closed_form_decomposition(cls)
+        h.update(repr((cls.literal(), shape(dec))).encode())
+        for q in qs:
+            alt = alternative_decomposition(cls, q)
+            h.update(repr((q, canonical_invariants(dec.orders(q)), shape(alt))).encode())
+    return h.hexdigest()
+
+
+class TestOutputEquivalence:
+    def test_closed_form_layer_is_unchanged(self):
+        # recorded before the closed-form layer was optimized; a change
+        # here is a change of results, not of speed
+        assert closed_form_digest(8, ACCEPTANCE_QS + (M61,)) == (
+            "9a6751d92106ca7169c199a5412c7477564e139090fdc343432850f37dc1c6f5"
+        )
