@@ -258,8 +258,8 @@ def _cmd_snf(args) -> int:
     return 0
 
 
-def _add_degree(sp, required=True):
-    sp.add_argument("--l", type=int, required=required, metavar="L", help="degree, at least 2")
+def _add_degree(sp):
+    sp.add_argument("--l", type=int, required=True, metavar="L", help="degree, at least 2")
 
 
 def _add_form(sp):
@@ -309,11 +309,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.parser = parser
-    if hasattr(args, "l") and args.l is not None and args.l < 2:
+    if hasattr(args, "l") and args.l < 2:
         parser.error("degree l must be at least 2")
     if hasattr(args, "l_max") and args.l_max < 2:
         parser.error("--l-max must be at least 2")
-    if hasattr(args, "q") and isinstance(args.q, int) and args.q is not None and args.q < 2:
+    if hasattr(args, "q") and isinstance(args.q, int) and args.q < 2:
         parser.error("q must be at least 2")
     try:
         return args.func(args)

@@ -225,23 +225,6 @@ def twist_factorization_check(ctype: SignedCycleType, q: int) -> bool:
 # block pipeline
 
 
-def cycle_block(k: int, eps: int) -> Matrix:
-    """Matrix of one signed k-cycle on its own coordinates.
-
-    >>> cycle_block(2, -1)
-    [[0, 1], [-1, 0]]
-    >>> cycle_block(1, 1)
-    [[1]]
-    """
-    if eps not in (1, -1):
-        raise ValueError("sign must be +-1")
-    m = [[0] * k for _ in range(k)]
-    for i in range(k - 1):
-        m[i][i + 1] = 1
-    m[k - 1][0] = eps
-    return m
-
-
 def ones_last_column(l: int) -> Matrix:
     return [[1 if j == l - 1 else 0 for j in range(l)] for _ in range(l)]
 
@@ -320,26 +303,6 @@ def geometric_sum(q: int, lo: int, hi: int) -> int:
     0
     """
     return sum(q**e for e in range(lo, hi + 1))
-
-
-def reduction_block(k: int, eps: int, q: int) -> Matrix:
-    """Unimodular-up-to-sign row multiplier that telescopes one signed
-    cycle's block: determinant eps.
-
-    >>> reduction_block(2, -1, 3)
-    [[1, 0], [3, -1]]
-    """
-    if eps not in (1, -1):
-        raise ValueError("sign must be +-1")
-    p = [[0] * k for _ in range(k)]
-    for j in range(k - 1):
-        p[j][j] = 1
-        for m in range(1, k - 1 - j):
-            p[j][j + m] = q**m
-    for m in range(k - 1):
-        p[k - 1][m] = q ** (m + 1)
-    p[k - 1][k - 1] = eps
-    return p
 
 
 def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:

@@ -79,10 +79,6 @@ class SignedPermutation:
         return sum(1 for x in self.images if x < 0)
 
 
-def identity(n: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(1, n + 1)))
-
-
 def negate_point(n: int, k: int) -> SignedPermutation:
     """The involution fixing every point but flipping the sign at k.
 

@@ -64,6 +64,8 @@ def determinant(a: Matrix) -> int:
     0
     """
     n = len(a)
+    if not n:
+        raise ValueError("empty matrix")
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
     m = [row[:] for row in a]
@@ -220,6 +222,8 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     >>> smith_normal_form([[0, 0], [0, 0]]).diagonal
     (0, 0)
     """
+    if not a:
+        raise ValueError("empty matrix")
     m, n = len(a), len(a[0])
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
@@ -420,62 +424,3 @@ def _clear_row(block: Matrix, r: int) -> bool:
                 row[0], row[j] = (s * a + t * b) % r, (v * b - u * a) % r
             clean = False
     return clean
-
-
-# ---------------------------------------------------------------------------
-# 2x2 diagonalization witnesses
-#
-# Four parametrized families of unimodular pairs (P, Q) that diagonalize
-# specific 2x2 shapes; each is pinned by exact preconditions and each
-# output is verifiable by multiplication.
-
-
-def diagonalization_witnesses(case: str, a: int, b: int, c: int | None = None):
-    """Return (A, B, P, Q) with P A Q == B and |det P| == |det Q| == 1.
-
-    case "i":   gcd(a,b)=1,          A=diag(a,b)        -> B=diag(1,ab)
-    case "ii":  gcd(a,b)=1,          A=[[a,1],[0,b]]    -> B=diag(1,ab)
-    case "iii": gcd(a,b) | c,        A=[[a,c],[0,b]]    -> B=diag(a,b)
-    case "iv":  gcd(a,b)=1, c odd,   A=[[2a,c],[0,2b]]  -> B=diag(1,4ab)
-
-    >>> A, B, P, Q = diagonalization_witnesses("i", 3, 2)
-    >>> P, Q
-    ([[1, -1], [-2, 3]], [[1, 2], [1, 3]])
-    """
-    if case in ("i", "ii", "iv") and gcd(a, b) != 1:
-        raise ValueError(f"case {case} needs coprime a, b")
-    if case == "i":
-        g, m, n = xgcd(a, b)
-        A = [[a, 0], [0, b]]
-        B = [[1, 0], [0, a * b]]
-        P = [[1, n], [-b, a * m]]
-        Q = [[m, -b * n], [1, a]]
-    elif case == "ii":
-        A = [[a, 1], [0, b]]
-        B = [[1, 0], [0, a * b]]
-        P = [[1, 0], [-b, 1]]
-        Q = [[0, -1], [1, a]]
-    elif case == "iii":
-        if c is None:
-            raise ValueError("case iii needs c")
-        g = gcd(a, b)
-        if g == 0 or c % g:
-            raise ValueError("case iii needs gcd(a,b) dividing c")
-        _, m, n = xgcd(a // g, b // g)
-        z = c // g
-        A = [[a, c], [0, b]]
-        B = [[a, 0], [0, b]]
-        P = [[1, -n * z], [0, 1]]
-        Q = [[1, -m * z], [0, 1]]
-    elif case == "iv":
-        if c is None or c % 2 == 0:
-            raise ValueError("case iv needs odd c")
-        _, m, n = xgcd(a, b)
-        h = (c - 1) // 2
-        A = [[2 * a, c], [0, 2 * b]]
-        B = [[1, 0], [0, 4 * a * b]]
-        P = [[-1, n * h], [-2 * b, 1 + n * b * (c - 1)]]
-        Q = [[m * h, -1 - m * a * (c - 1)], [-1, 2 * a]]
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return A, B, P, Q

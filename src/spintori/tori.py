@@ -1,5 +1,5 @@
 """Closed-form cyclic decompositions of the maximal tori, plus the
-number-theoretic helpers that justify them.
+number-theoretic helpers they use.
 
 A torus class is a signed cycle type (positive parts L', negated parts
 L'') with a split tag where needed.  ``closed_form_decomposition``
@@ -14,10 +14,7 @@ routes it through four mutually exclusive shapes, in this precedence:
   iv:   anything else -> fully split product of Z_{q^length - sign}.
 
 "Standard" factor for a part of length a and sign eps is Z_{q^a - eps};
-``CyclicFactor`` terms follow that subtractive convention.  The
-number-theoretic helpers near the bottom instead describe numbers
-additively, as a^n + eps, matching the statements they implement; each
-docstring says which convention it uses.
+``CyclicFactor`` terms follow that subtractive convention.
 
 ``class_checks`` yields every comparison of the closed form with the
 other routes for one class at one q; ``sweep_checks`` runs it over
@@ -452,111 +449,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# two-adic helpers (additive convention: values are a^n + eps)
-
-
-def power_two_part(a: int, n: int, eps: int) -> int:
-    """Predicted 2-part of a^n + eps for odd a, without computing the
-    power.  Additive convention: eps=-1 describes a^n - 1.
-
-    >>> power_two_part(3, 2, -1)   # (3^2 - 1) has 2-part 8
-    8
-    >>> power_two_part(3, 2, 1)    # (3^2 + 1) has 2-part 2
-    2
-    >>> power_two_part(5, 3, -1)
-    4
-    """
-    if a < 3 or a % 2 == 0:
-        raise ValueError("a must be odd and at least 3")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if eps == -1:
-        if n % 2 == 0 and a % 4 == 3:
-            return two_part(n) * two_part(a + 1)
-        return two_part(n) * two_part(a - 1)
-    if eps == 1:
-        return two_part(a + 1) if n % 2 else 2
-    raise ValueError("eps must be +-1")
-
-
-def power_gcd_closed_form(case: str, a: int, n1: int, n2: int, eps: int) -> int:
-    """Predicted gcd for the classic pairs of numbers a^n +- 1, odd a.
-    Additive convention throughout (arguments describe a^n + eps):
-
-    case "ii":  n1, n2 odd:       gcd(a^n1 - eps, a^n2 + eps) = 2
-    case "iii": n1 even, n2 odd:  gcd(a^n1 + 1,   a^n2 + eps) = 2
-    case "iv":  n1, n2 odd:       gcd(a^n1 + eps, a^n2 + eps) = a^(n1,n2) + eps
-    case "v":   n1 even, n2 odd:  gcd(a^n1 - 1,   a^n2 + eps) = a^(n1,n2) + eps
-
-    >>> power_gcd_closed_form("ii", 3, 1, 3, 1)
-    2
-    >>> power_gcd_closed_form("v", 3, 2, 1, -1)
-    2
-    >>> power_gcd_closed_form("iv", 3, 3, 1, -1)
-    2
-    """
-    if a < 3 or a % 2 == 0:
-        raise ValueError("a must be odd and at least 3")
-    if n1 < 1 or n2 < 1:
-        raise ValueError("exponents must be positive")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +-1")
-    if case == "ii":
-        if n1 % 2 == 0 or n2 % 2 == 0:
-            raise ValueError("case ii needs both exponents odd")
-        return 2
-    if case == "iii":
-        if n1 % 2 or n2 % 2 == 0:
-            raise ValueError("case iii needs n1 even, n2 odd")
-        return 2
-    if case == "iv":
-        if n1 % 2 == 0 or n2 % 2 == 0:
-            raise ValueError("case iv needs both exponents odd")
-        return a ** gcd(n1, n2) + eps
-    if case == "v":
-        if n1 % 2 or n2 % 2 == 0:
-            raise ValueError("case v needs n1 even, n2 odd")
-        return a ** gcd(n1, n2) + eps
-    raise ValueError(f"unknown case {case!r}")
-
-
-def exchange_identity_check(a: int, n1: int, n2: int, n3: int, eps: int) -> bool:
-    """For odd a with a = eps mod 4, odd n1, n2 and even n3:
-
-      Z_{(a^n1+eps)(a^n2-eps)} x Z_{a^n3+1}
-        is isomorphic to
-      Z_{a^n1+eps} x Z_{(a^n2-eps)(a^n3+1)}
-
-    (additive convention).  Verified by comparing canonical invariants.
-
-    >>> exchange_identity_check(3, 1, 1, 2, -1)
-    True
-    """
-    if a < 3 or a % 2 == 0 or (a - eps) % 4:
-        raise ValueError("need odd a with a = eps mod 4")
-    if n1 % 2 == 0 or n2 % 2 == 0 or n3 % 2:
-        raise ValueError("need n1, n2 odd and n3 even")
-    x = a**n1 + eps
-    y = a**n2 - eps
-    z = a**n3 + 1
-    return canonical_invariants([x * y, z]) == canonical_invariants([x, y * z])
-
-
-def gcd_doubling_check(a: int, b: int) -> bool:
-    """When the 2-part of a is at least that of b, doubling a cannot
-    grow the gcd: gcd(2a, b) == gcd(a, b).
-
-    >>> gcd_doubling_check(4, 2) and gcd_doubling_check(6, 2) and gcd_doubling_check(12, 4)
-    True
-    """
-    if a < 1 or b < 1:
-        raise ValueError("positive integers only")
-    if two_part(a) < two_part(b):
-        raise ValueError("premise needs two_part(a) >= two_part(b)")
-    return gcd(2 * a, b) == gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 of the finished tool, at full sweep sizes."""
 
 import math
-import random
 import subprocess
 import sys
 import time
@@ -14,27 +13,20 @@ import pytest
 from spintori import (
     FORM_MINUS,
     FORM_PLUS,
-    SignedCycleType,
     TorusClass,
     canonical_invariants,
     center_invariants,
     determinant,
-    diagonalization_witnesses,
     embeds,
     enumerate_classes,
     evaluate,
-    exchange_identity_check,
     invariant_factors,
-    power_gcd_closed_form,
-    power_two_part,
     reduced_form_identity,
     reduced_torus_matrix,
     sweep_checks,
     torus_matrix,
     torus_order,
-    two_part,
 )
-from spintori.matrices import mat_mul
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_QS = (2, 3, 4, 5, 7, 9, 11, 13, 16, 25)
@@ -115,62 +107,6 @@ def test_block_reduction_pipeline():
                     ]
                     assert big == small, (ct.literal(), q)
     assert len(seen) > 100
-
-
-def test_gcd_and_two_part_closed_forms():
-    for a in range(3, 100, 2):
-        for n in range(1, 13):
-            assert power_two_part(a, n, -1) == two_part(a**n - 1)
-            assert power_two_part(a, n, 1) == two_part(a**n + 1)
-        for n1 in range(1, 13):
-            for n2 in range(1, 13):
-                for eps in (1, -1):
-                    if n1 % 2 and n2 % 2:
-                        assert power_gcd_closed_form("ii", a, n1, n2, eps) == math.gcd(
-                            a**n1 - eps, a**n2 + eps
-                        )
-                        assert power_gcd_closed_form("iv", a, n1, n2, eps) == math.gcd(
-                            a**n1 + eps, a**n2 + eps
-                        )
-                    elif n1 % 2 == 0 and n2 % 2:
-                        assert power_gcd_closed_form("iii", a, n1, n2, eps) == math.gcd(
-                            a**n1 + 1, a**n2 + eps
-                        )
-                        assert power_gcd_closed_form("v", a, n1, n2, eps) == math.gcd(
-                            a**n1 - 1, a**n2 + eps
-                        )
-    for a in range(3, 20, 2):
-        eps = 1 if a % 4 == 1 else -1
-        for n1 in (1, 3, 5, 7):
-            for n2 in (1, 3, 5, 7):
-                for n3 in (2, 4, 6, 8):
-                    assert exchange_identity_check(a, n1, n2, n3, eps), (a, n1, n2, n3)
-
-
-def test_witness_families_randomized():
-    rng = random.Random(20260822)
-
-    def coprime_pair():
-        while True:
-            a, b = rng.randint(1, 60), rng.randint(1, 60)
-            if math.gcd(a, b) == 1:
-                return a, b
-
-    for case in ("i", "ii", "iii", "iv"):
-        for _ in range(1000):
-            if case in ("i", "ii"):
-                a, b = coprime_pair()
-                c = None
-            elif case == "iii":
-                a, b = rng.randint(1, 60), rng.randint(1, 60)
-                c = math.gcd(a, b) * rng.randint(1, 12)
-            else:
-                a, b = coprime_pair()
-                c = 2 * rng.randint(0, 30) + 1
-            mat, target, p, q = diagonalization_witnesses(case, a, b, c)
-            assert mat_mul(mat_mul(p, mat), q) == target
-            assert abs(determinant(p)) == 1
-            assert abs(determinant(q)) == 1
 
 
 def test_center_contained_in_every_torus():

@@ -30,12 +30,10 @@ from spintori.matrices import (
     _halve_exact,
     coupling_block,
     coupling_matrix,
-    cycle_block,
     doubled_inverse_transition,
     mat_identity,
     mat_mul,
     permutation_matrix,
-    reduction_block,
     twist_factorization_check,
 )
 from spintori.permutations import SignedPermutation
@@ -226,36 +224,6 @@ class TestTorusMatrix:
 
 
 class TestBlockReduction:
-    def test_cycle_block_determinant(self):
-        for k in range(1, 6):
-            for eps in (1, -1):
-                assert determinant(cycle_block(k, eps)) in (1, -1)
-
-    def test_reduction_block_is_unimodular(self):
-        for k in range(1, 6):
-            for eps in (1, -1):
-                for q in (2, 3, 5):
-                    assert determinant(reduction_block(k, eps, q)) == eps
-
-    def test_reduction_triangularizes_a_cycle_block(self):
-        # P (qR - E) comes out upper triangular with units on the
-        # diagonal except the last entry, which carries the order.
-        for k in range(2, 6):
-            for eps in (1, -1):
-                for q in (2, 3, 5):
-                    r = cycle_block(k, eps)
-                    a = [
-                        [q * r[i][j] - (i == j) for j in range(k)]
-                        for i in range(k)
-                    ]
-                    prod = mat_mul(reduction_block(k, eps, q), a)
-                    for i in range(k):
-                        for j in range(i):
-                            assert prod[i][j] == 0
-                        if i < k - 1:
-                            assert prod[i][i] == -1
-                    assert abs(prod[k - 1][k - 1]) == q**k - eps
-
     def test_coupling_block_degenerate_shapes(self):
         assert coupling_block(3, 1, 1, -1) == [[-1], [-1], [-1]]
         assert coupling_block(3, 1, 1, 1) == [[0], [0], [0]]

@@ -17,7 +17,7 @@ from spintori import (
     torus_matrix,
     torus_order,
 )
-from spintori.permutations import identity, negate_point
+from spintori.permutations import negate_point
 
 from oracle_tools import conjugacy_orbits, coset_elements, orbit_type_census
 
@@ -46,8 +46,8 @@ class TestSignedPermutation:
         rng = random.Random(7)
         for _ in range(50):
             w = random_element(rng, 5)
-            assert (w * w.inverse()).images == identity(5).images
-            assert (w.inverse() * w).images == identity(5).images
+            assert (w * w.inverse()).images == SignedPermutation(tuple(range(1, 6))).images
+            assert (w.inverse() * w).images == SignedPermutation(tuple(range(1, 6))).images
 
     def test_rejects_bad_images(self):
         with pytest.raises(ValueError):
@@ -161,6 +161,25 @@ class TestEnumeration:
             for l in range(2, 9)
         }
         assert counts == {2: 6, 3: 10, 4: 22, 5: 36, 6: 68, 7: 110, 8: 190}
+
+    def test_class_counts_match_generating_function(self):
+        # A signed cycle type is a pair of partitions (positive parts,
+        # negated parts), counted by prod (1 - x^d)^-2; the all-even,
+        # all-positive types of even degree l split in two, one more
+        # class per partition of l/2.
+        l_max = 16
+        pairs = [1] + [0] * l_max
+        partitions = [1] + [0] * l_max
+        for d in range(1, l_max + 1):
+            for n in range(d, l_max + 1):
+                partitions[n] += partitions[n - d]
+            for _ in range(2):
+                for n in range(d, l_max + 1):
+                    pairs[n] += pairs[n - d]
+        for l in range(2, l_max + 1):
+            want = pairs[l] + (partitions[l // 2] if l % 2 == 0 else 0)
+            got = len(enumerate_classes(l, FORM_PLUS)) + len(enumerate_classes(l, FORM_MINUS))
+            assert got == want, l
 
     def test_forms_are_consistent(self):
         for l in range(2, 7):

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from spintori import (
     FORM_MINUS,
     FORM_PLUS,
-    SnfResult,
     TorusClass,
     canonical_invariants,
     closed_form_decomposition,
     determinant,
-    diagonalization_witnesses,
     enumerate_classes,
     invariant_factors,
     reduced_torus_matrix,
@@ -83,6 +81,9 @@ class TestDeterminant:
         assert determinant([[10, 0], [0, 8]]) == 80
         assert determinant([[2, 1], [0, 2]]) == 4
         assert determinant([[1, 2], [2, 4]]) == 0
+        for bad in ([], [[]]):
+            with pytest.raises(ValueError):
+                determinant(bad)
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(13)
@@ -104,10 +105,16 @@ class TestSmithNormalForm:
         assert smith_normal_form([[2, 1], [0, 2]]).diagonal == (1, 4)
         assert smith_normal_form([[10, 0], [0, 8]]).diagonal == (2, 40)
         assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
+        assert smith_normal_form([[]]).diagonal == ()
+        with pytest.raises(ValueError):
+            smith_normal_form([])
 
     def test_invariant_factors_examples(self):
         assert invariant_factors([[2, 1], [0, 2]]) == (1, 4)
         assert invariant_factors([[0, 0], [0, 0]]) == ()
+        assert invariant_factors([[]]) == ()
+        with pytest.raises(ValueError):
+            invariant_factors([])
 
     def check(self, m):
         res = smith_normal_form(m)
@@ -177,42 +184,6 @@ class TestSmithNormalForm:
             assert res.verify(m)
             bits = max(abs(x).bit_length() for w in (res.p, res.q) for row in w for x in row)
             assert bits <= 4 * abs(determinant(m)).bit_length() + 64, (cls.literal(), q)
-
-
-class TestWitnessFamilies:
-    def test_case_i_example(self):
-        a, b, p, q = diagonalization_witnesses("i", 3, 2)
-        assert p == [[1, -1], [-2, 3]]
-        assert q == [[1, 2], [1, 3]]
-        assert mat_mul(mat_mul(p, a), q) == b
-
-    @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
-    def test_small_sweep(self, case):
-        rng = random.Random(37)
-        for _ in range(50):
-            x, y = rng.randint(1, 30), rng.randint(1, 30)
-            if case in ("i", "ii", "iv") and math.gcd(x, y) != 1:
-                continue
-            if case == "iii":
-                c = math.gcd(x, y) * rng.randint(1, 10)
-            elif case == "iv":
-                c = 2 * rng.randint(0, 10) + 1
-            else:
-                c = None
-            a, b, p, q = diagonalization_witnesses(case, x, y, c)
-            assert mat_mul(mat_mul(p, a), q) == b
-            assert abs(determinant(p)) == 1
-            assert abs(determinant(q)) == 1
-
-    def test_precondition_errors(self):
-        with pytest.raises(ValueError):
-            diagonalization_witnesses("i", 4, 2)
-        with pytest.raises(ValueError):
-            diagonalization_witnesses("iii", 4, 6, 3)
-        with pytest.raises(ValueError):
-            diagonalization_witnesses("iv", 3, 2, 4)
-        with pytest.raises(ValueError):
-            diagonalization_witnesses("v", 3, 2)
 
 
 class TestModularInvariantFactors:

@@ -25,3 +25,29 @@ def test_exports_resolve():
     assert len(spintori.__all__) == len(set(spintori.__all__))
     missing = [name for name in spintori.__all__ if not hasattr(spintori, name)]
     assert missing == []
+
+
+def test_every_definition_is_used():
+    # a top-level function or class that no module's code names (the
+    # re-exports in ``__init__.py`` and docstrings do not count) and
+    # ``__all__`` does not export is dead code
+    defined, used = [], set()
+    for path in SOURCE_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name for alias in node.names)
+    used.update(spintori.__all__)
+    dead = [f"{file}:{name}" for file, name in defined if name not in used]
+    assert dead == []

@@ -19,13 +19,9 @@ from spintori import (
     embeds,
     enumerate_classes,
     evaluate,
-    exchange_identity_check,
-    gcd_doubling_check,
     invariant_factors,
     is_prime_power,
     oracle_invariants,
-    power_gcd_closed_form,
-    power_two_part,
     symbolic_decomposition,
     torus_order,
     two_part,
@@ -280,64 +276,6 @@ class TestNumberTheory:
         assert two_part(7) == 1
         with pytest.raises(ValueError):
             two_part(0)
-
-    def test_power_two_part_examples(self):
-        assert power_two_part(3, 2, -1) == 8
-        assert power_two_part(3, 2, 1) == 2
-        assert power_two_part(5, 3, -1) == 4
-        assert power_two_part(7, 6, -1) == 16
-
-    def test_power_two_part_against_direct(self):
-        for a in range(3, 30, 2):
-            for n in range(1, 9):
-                assert power_two_part(a, n, -1) == two_part(a**n - 1)
-                assert power_two_part(a, n, 1) == two_part(a**n + 1)
-
-    def test_power_gcd_examples(self):
-        assert power_gcd_closed_form("ii", 3, 1, 3, 1) == 2
-        assert power_gcd_closed_form("v", 3, 2, 1, -1) == 2
-        assert power_gcd_closed_form("iv", 3, 3, 1, -1) == 2
-
-    def test_power_gcd_against_direct(self):
-        for a in (3, 5, 9):
-            for n1 in range(1, 7):
-                for n2 in range(1, 7):
-                    for eps in (1, -1):
-                        if n1 % 2 and n2 % 2:
-                            assert power_gcd_closed_form("ii", a, n1, n2, eps) == math.gcd(
-                                a**n1 - eps, a**n2 + eps
-                            )
-                            assert power_gcd_closed_form("iv", a, n1, n2, eps) == math.gcd(
-                                a**n1 + eps, a**n2 + eps
-                            )
-                        if n1 % 2 == 0 and n2 % 2:
-                            assert power_gcd_closed_form("iii", a, n1, n2, eps) == math.gcd(
-                                a**n1 + 1, a**n2 + eps
-                            )
-                            assert power_gcd_closed_form("v", a, n1, n2, eps) == math.gcd(
-                                a**n1 - 1, a**n2 + eps
-                            )
-
-    def test_parity_preconditions(self):
-        with pytest.raises(ValueError):
-            power_gcd_closed_form("ii", 3, 2, 3, 1)
-        with pytest.raises(ValueError):
-            power_gcd_closed_form("v", 3, 3, 1, -1)
-        with pytest.raises(ValueError):
-            power_two_part(4, 2, 1)
-
-    def test_exchange_identity(self):
-        assert exchange_identity_check(3, 1, 1, 2, -1)
-        assert exchange_identity_check(5, 1, 3, 2, 1)
-        with pytest.raises(ValueError):
-            exchange_identity_check(3, 1, 1, 2, 1)
-
-    def test_gcd_doubling(self):
-        assert gcd_doubling_check(4, 2)
-        assert gcd_doubling_check(6, 2)
-        assert gcd_doubling_check(12, 4)
-        with pytest.raises(ValueError):
-            gcd_doubling_check(2, 4)
 
     def test_is_prime_power(self):
         assert [n for n in range(2, 20) if is_prime_power(n)] == [
