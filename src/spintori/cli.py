@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .matrices import (
     MatrixFormatError,
-    PipelineDegenerateError,
     format_matrix_text,
     parse_matrix_text,
 )
@@ -30,7 +29,7 @@ from .permutations import (
     FORM_MINUS,
     FORM_PLUS,
     TorusClass,
-    enumerate_classes,
+    iter_classes,
 )
 from .smith import smith_normal_form
 from .tori import (
@@ -89,10 +88,10 @@ def _warn_composite_q(q: int) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    classes = enumerate_classes(args.l, args.form)
-    for cls in classes:
+    count = 0
+    for count, cls in enumerate(iter_classes(args.l, args.form), 1):
         print(cls.literal())
-    print(f"{len(classes)} classes")
+    print(f"{count} classes")
     return 0
 
 
@@ -149,7 +148,7 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    classes = enumerate_classes(args.l, args.form)
+    classes = iter_classes(args.l, args.form)
 
     if args.format == "json":
         _emit_json([_report_entry(closed_form_decomposition(cls)) for cls in classes])
@@ -157,15 +156,10 @@ def _cmd_table(args) -> int:
 
     rows = []
     notes = []
-    seen_split = set()
     for cls in classes:
-        if cls.split is not None:
-            if cls.ctype in seen_split:
-                continue
-            seen_split.add(cls.ctype)
-            label = f"{cls.ctype.literal()}:+/-"
-        else:
-            label = cls.ctype.literal()
+        if cls.split == "-":  # the row of its '+' twin, just before, covers it
+            continue
+        label = cls.ctype.literal() + (":+/-" if cls.split else "")
         structure = closed_form_decomposition(cls).symbolic()
         note = KNOWN_MISPRINTS.get((args.l, args.form, cls.ctype.parts))
         if note is not None:
@@ -197,11 +191,12 @@ def _cmd_verify(args) -> int:
     total = 0
     checks = sweep_checks(args.l_max, qs)
     for l, group in itertools.groupby(checks, key=lambda c: c.cls.ctype.degree):
-        group = list(group)
-        bad = [c for c in group if not c.ok]
-        total += len(group)
-        failures += bad
-        print(f"l={l}: {len(group)} checks, {len(bad)} failures")
+        count, failed_before = 0, len(failures)
+        for count, c in enumerate(group, 1):
+            if not c.ok:
+                failures.append(c)
+        total += count
+        print(f"l={l}: {count} checks, {len(failures) - failed_before} failures")
     for c in failures:
         ctype = c.cls.ctype
         print(
@@ -230,14 +225,22 @@ def _unlimited_int_text():
         set_limit(saved)
 
 
+def _read_matrix_file(args) -> str:
+    """The text of the matrix file, or of stdin for '-', decoded as
+    UTF-8; a file that cannot be read or decoded is a usage error."""
+    try:
+        if args.matrix != "-":
+            return Path(args.matrix).read_bytes().decode("utf-8")
+        stdin = getattr(sys.stdin, "buffer", None)  # absent when stdin is already text
+        return stdin.read().decode("utf-8") if stdin is not None else sys.stdin.read()
+    except OSError as exc:
+        args.parser.error(str(exc))
+    except UnicodeDecodeError as exc:
+        args.parser.error(f"{args.matrix}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def _cmd_snf(args) -> int:
-    if args.matrix == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(args.matrix).read_text()
-        except OSError as exc:
-            args.parser.error(str(exc))
+    text = _read_matrix_file(args)
     with _unlimited_int_text():
         try:
             mat = parse_matrix_text(text)
@@ -315,11 +318,7 @@ def main(argv=None) -> int:
         parser.error("--l-max must be at least 2")
     if hasattr(args, "q") and isinstance(args.q, int) and args.q < 2:
         parser.error("q must be at least 2")
-    try:
-        return args.func(args)
-    except PipelineDegenerateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return args.func(args)
 
 
 def entry() -> None:

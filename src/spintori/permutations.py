@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 FORM_PLUS = "plus"
 FORM_MINUS = "minus"
@@ -274,39 +275,57 @@ def representative(cls: TorusClass) -> SignedPermutation:
 
 
 def _partitions(n: int, max_part: int | None = None):
-    # descending tuples
+    """Partitions of n as descending tuples, in ascending lexicographic
+    order: (1, ..., 1) first, (n,) last."""
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(max_part, n)
-    for first in range(top, 0, -1):
+    for first in range(1, top + 1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 
-def _signed_types(l: int):
+def iter_classes(l: int, form: str) -> Iterator[TorusClass]:
+    """The torus classes of ``enumerate_classes``, one at a time, in the
+    same canonical order.
+
+    The generation itself makes the order, with no global sort:
+    unsigned partitions in ascending lexicographic order (as descending
+    tuples), then within each partition by the number of negated parts
+    and the negated lengths (descending tuple), and '+' before '-' for
+    a split pair.  Only one partition's sign choices are held at a time.
+
+    >>> [c.literal() for c in iter_classes(3, "minus")]
+    ['1,1,-1', '-1,-1,-1', '2,-1', '1,-2', '-3']
+    """
+    if l < 2:
+        raise ValueError(f"degree must be at least 2, got {l}")
+    if form not in (FORM_PLUS, FORM_MINUS):
+        raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
+    parity = 0 if form == FORM_PLUS else 1
     for partition in _partitions(l):
-        counts = {}
-        for p in partition:
-            counts[p] = counts.get(p, 0) + 1
-        distinct = sorted(counts)
-        for negs in itertools.product(*(range(counts[d] + 1) for d in distinct)):
-            parts = []
-            for d, k in zip(distinct, negs):
-                parts.extend([d] * (counts[d] - k))
-                parts.extend([-d] * k)
-            yield SignedCycleType(tuple(parts))
-
-
-def _class_sort_key(cls: TorusClass):
-    t = cls.ctype
-    negated = tuple(sorted((-p for p in t.parts if p < 0), reverse=True))
-    unsigned = tuple(sorted(t.lengths, reverse=True))
-    return (unsigned, t.num_negative, negated, 0 if cls.split != "-" else 1)
+        distinct = sorted(set(partition), reverse=True)
+        counts = [partition.count(d) for d in distinct]
+        choices = []
+        for negs in itertools.product(*(range(c + 1) for c in counts)):
+            if sum(negs) % 2 == parity:
+                negated = tuple(d for d, k in zip(distinct, negs) for _ in range(k))
+                choices.append((len(negated), negated, negs))
+        choices.sort()
+        for _, negated, negs in choices:
+            kept = tuple(d for d, c, k in zip(distinct, counts, negs) for _ in range(c - k))
+            ctype = SignedCycleType(kept + tuple(-d for d in negated))
+            if ctype.is_split_eligible():
+                yield TorusClass(ctype, "+")
+                yield TorusClass(ctype, "-")
+            else:
+                yield TorusClass(ctype)
 
 
 def enumerate_classes(l: int, form: str) -> list[TorusClass]:
-    """All torus classes of the given degree and form, canonically ordered.
+    """All torus classes of the given degree and form, canonically
+    ordered (see ``iter_classes``, which yields them one at a time).
 
     Split-eligible types contribute two entries ('+' before '-'); the
     form is decided by the parity of the number of negative parts.
@@ -316,18 +335,4 @@ def enumerate_classes(l: int, form: str) -> list[TorusClass]:
     >>> len(enumerate_classes(4, "minus"))
     9
     """
-    if l < 2:
-        raise ValueError(f"degree must be at least 2, got {l}")
-    if form not in (FORM_PLUS, FORM_MINUS):
-        raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
-    out = []
-    for t in _signed_types(l):
-        if t.form != form:
-            continue
-        if t.is_split_eligible():
-            out.append(TorusClass(t, "+"))
-            out.append(TorusClass(t, "-"))
-        else:
-            out.append(TorusClass(t))
-    out.sort(key=_class_sort_key)
-    return out
+    return list(iter_classes(l, form))

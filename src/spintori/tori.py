@@ -36,7 +36,7 @@ from .permutations import (
     FORM_PLUS,
     SignedCycleType,
     TorusClass,
-    enumerate_classes,
+    iter_classes,
 )
 from .smith import invariant_factors
 from .matrices import reduced_form_identity, reduced_torus_matrix, torus_matrix
@@ -72,10 +72,6 @@ class CyclicFactor:
     @cache  # immutable, so shared; degree l asks for at most 2l keys
     def single(a: int, eps: int) -> "CyclicFactor":
         return CyclicFactor(((a, eps),))
-
-    @property
-    def degree(self) -> int:
-        return sum(a for a, _ in self.terms)
 
     def order(self, q: int) -> int:
         out = 1
@@ -310,7 +306,7 @@ def sweep_checks(l_max: int, qs) -> Iterator[Check]:
     each q."""
     for l in range(2, l_max + 1):
         for form in (FORM_PLUS, FORM_MINUS):
-            for cls in enumerate_classes(l, form):
+            for cls in iter_classes(l, form):
                 dec = closed_form_decomposition(cls)
                 for q in qs:
                     yield from class_checks(cls, q, dec)
@@ -344,50 +340,21 @@ def center_invariants(l: int, form, q: int) -> tuple[int, ...]:
     return tuple(x for x in raw if x > 1)
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def embeds(sub: tuple[int, ...], big: tuple[int, ...]) -> bool:
     """Whether the abelian group with invariants ``sub`` embeds into
-    the one with invariants ``big``: prime by prime, the descending
-    exponent lists must dominate.
+    the one with invariants ``big``.  Both are brought to their divisor
+    chains by ``canonical_invariants`` (so entries must be positive);
+    then aligned from the largest entry, each entry of ``sub`` must
+    divide the matching entry of ``big``.  Prime by prime this is the
+    domination of the descending exponent lists.
 
     >>> embeds((2, 2), (2, 4))
     True
     >>> embeds((4,), (2, 2))
     False
     """
-    primes = set()
-    for n in sub:
-        primes.update(_prime_factors(n))
-    for p in primes:
-        have = sorted((_valuation(n, p) for n in big), reverse=True)
-        need = sorted((_valuation(n, p) for n in sub), reverse=True)
-        for k, exp in enumerate(need):
-            if exp == 0:
-                break
-            if k >= len(have) or have[k] < exp:
-                return False
-    return True
+    a, b = canonical_invariants(sub), canonical_invariants(big)
+    return len(a) <= len(b) and all(y % x == 0 for x, y in zip(reversed(a), reversed(b)))
 
 
 def is_prime_power(n: int) -> bool:

@@ -270,6 +270,18 @@ class TestSnf:
     def test_missing_file(self):
         assert run("snf", "/nonexistent/m.txt").returncode == 2
 
+    def test_non_utf8_input_is_usage_error(self, tmp_path):
+        # exit 1 means a check failed; an undecodable file is a usage error
+        data = b"2 2\n1 0\n0 \xff\n"
+        path = tmp_path / "latin.txt"
+        path.write_bytes(data)
+        for args, stdin in (((str(path),), None), (("-",), data)):
+            res = subprocess.run(
+                [sys.executable, "-m", "spintori", "snf", *args], input=stdin, capture_output=True
+            )
+            assert res.returncode == 2, args
+            assert b"not UTF-8" in res.stderr and b"Traceback" not in res.stderr
+
     def test_zero_matrix(self):
         res = run("snf", "-", stdin="2 2\n0 0\n0 0\n")
         assert res.returncode == 0

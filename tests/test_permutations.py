@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from spintori import (
     conjugate,
     cycle_type,
     enumerate_classes,
+    iter_classes,
     representative,
     standard_representative,
     torus_matrix,
@@ -199,6 +201,37 @@ class TestEnumeration:
     def test_rejects_degree_below_two(self):
         with pytest.raises(ValueError):
             enumerate_classes(1, FORM_PLUS)
+
+    @pytest.mark.parametrize("form", [FORM_PLUS, FORM_MINUS])
+    def test_generated_order_is_the_canonical_sort(self, form):
+        # the classes come out in the order a global sort by this key
+        # would give: unsigned lengths descending as a tuple, then the
+        # number of negated parts, the negated lengths, and '+' before '-'
+        def key(cls):
+            t = cls.ctype
+            negated = tuple(sorted((-p for p in t.parts if p < 0), reverse=True))
+            unsigned = tuple(sorted(t.lengths, reverse=True))
+            return (unsigned, t.num_negative, negated, 0 if cls.split != "-" else 1)
+
+        for l in range(2, 17):
+            classes = enumerate_classes(l, form)
+            assert type(classes) is list
+            assert len(set(classes)) == len(classes), l
+            assert classes == sorted(classes, key=key), l
+
+    def test_first_class_without_enumerating_the_rest(self):
+        # degree 40 has about 9 million signed cycle types; the
+        # generator reaches the first one without building them
+        start = time.perf_counter()
+        first = next(iter_classes(40, FORM_PLUS))
+        assert time.perf_counter() - start < 1.0
+        assert first.literal() == ",".join(["1"] * 40)
+
+    def test_iter_classes_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            next(iter_classes(1, FORM_PLUS))
+        with pytest.raises(ValueError):
+            next(iter_classes(4, "twisted"))
 
 
 class TestAgainstBruteForce:

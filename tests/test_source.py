@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import spintori
@@ -51,3 +53,28 @@ def test_every_definition_is_used():
     used.update(spintori.__all__)
     dead = [f"{file}:{name}" for file, name in defined if name not in used]
     assert dead == []
+
+
+BENCHMARK_FILES = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark imports the library by name; a rename or deletion
+    # here would break it before any workload runs
+    assert "workloads.py" in [path.name for path in BENCHMARK_FILES]
+    missing = []
+    for path in BENCHMARK_FILES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            if node.module != "spintori" and not (node.module or "").startswith("spintori."):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name) and not _is_submodule(node.module, alias.name):
+                    missing.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
+    assert missing == []
+
+
+def _is_submodule(package: str, name: str) -> bool:
+    return importlib.util.find_spec(f"{package}.{name}") is not None

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -268,6 +269,47 @@ class TestEmbeds:
 
     def test_reflexive(self):
         assert embeds((2, 4, 3), (2, 4, 3))
+
+    def test_large_prime_is_quick(self):
+        # no factorization: a 61-bit prime once meant trial division
+        assert embeds((M61,), (M61,))
+        assert embeds((M61,), (2, 2 * M61))
+        assert not embeds((M61 * M61,), (M61, M61))
+
+    @pytest.mark.parametrize(
+        "sub,big", [((2,), (0,)), ((0,), (2,)), ((-4,), (2, 2)), ((2,), (3, -1))]
+    )
+    def test_non_positive_entry_is_refused(self, sub, big):
+        with pytest.raises(ValueError):
+            embeds(sub, big)
+
+    def test_matches_prime_by_prime_reference(self):
+        # the definition: for every prime, the descending exponent list
+        # of sub is dominated entry by entry by that of big
+        def valuation(n, p):
+            v = 0
+            while n % p == 0:
+                n, v = n // p, v + 1
+            return v
+
+        primes = [p for p in range(2, 13) if all(p % d for d in range(2, p))]
+
+        def reference(sub, big):
+            for p in primes:
+                need = sorted((valuation(n, p) for n in sub), reverse=True)
+                have = sorted((valuation(n, p) for n in big), reverse=True)
+                have += [0] * len(need)
+                if any(e > h for e, h in zip(need, have)):
+                    return False
+            return True
+
+        groups = [()] + [
+            g for k in (1, 2, 3) for g in itertools.combinations_with_replacement(range(1, 13), k)
+            if k < 3 or max(g) <= 6
+        ]
+        for sub in groups:
+            for big in groups:
+                assert embeds(sub, big) == reference(sub, big), (sub, big)
 
 
 class TestNumberTheory:
