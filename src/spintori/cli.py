@@ -35,7 +35,6 @@ from .smith import smith_normal_form
 from .tori import (
     Check,
     TorusDecomposition,
-    class_checks,
     closed_form_decomposition,
     is_prime_power,
     sweep_checks,
@@ -100,14 +99,8 @@ def _cmd_structure(args) -> int:
         cls = TorusClass.parse(args.type)
     except ValueError as exc:
         args.parser.error(str(exc))
-    if cls.ctype.degree != args.l:
-        args.parser.error(f"type {args.type!r} has degree {cls.ctype.degree}, not l={args.l}")
-    if cls.ctype.form != args.form:
-        args.parser.error(f"type {args.type!r} belongs to form {FORM_SIGIL[cls.ctype.form]}")
-    defaulted = False
-    if cls.split is None and cls.ctype.is_split_eligible():
-        cls = TorusClass(cls.ctype, "+")
-        defaulted = True
+    if cls.ctype.degree < 2:
+        args.parser.error(f"type {args.type!r} has degree {cls.ctype.degree}, below 2")
     dec = closed_form_decomposition(cls)
     checks = []
     if args.q is not None:
@@ -120,7 +113,7 @@ def _cmd_structure(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        checks = list(class_checks(cls, args.q, dec))
+        checks = list(sweep_checks([cls], [args.q]))
         for c in (c for c in checks if not c.ok):
             msg = f"FAIL {c.route} for {cls.literal()} at q={args.q}: want {c.want}, got {c.got}"
             print(msg, file=sys.stderr)
@@ -135,7 +128,7 @@ def _cmd_structure(args) -> int:
     print(f"l: {entry['l']}")
     print(f"form: {entry['form']}")
     if entry["split"] is not None:
-        print(f"split: {entry['split']}" + (" (defaulted)" if defaulted else ""))
+        print(f"split: {entry['split']}" + ("" if ":" in args.type else " (defaulted)"))
     print(f"case: {entry['case']}")
     print(f"structure: {dec.symbolic()}")
     if args.q is not None:
@@ -178,18 +171,16 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        qs = [int(tok) for tok in args.q.split(",")]
-    except ValueError:
-        args.parser.error(f"bad q list: {args.q!r}")
-    if any(q < 2 for q in qs):
-        args.parser.error("q values must be at least 2")
-    for q in qs:
+    for q in args.q:
         _warn_composite_q(q)
 
     failures = []
     total = 0
-    checks = sweep_checks(args.l_max, qs)
+    classes = (
+        cls for l in range(2, args.l_max + 1) for form in (FORM_PLUS, FORM_MINUS)
+        for cls in iter_classes(l, form)
+    )
+    checks = sweep_checks(classes, args.q)
     for l, group in itertools.groupby(checks, key=lambda c: c.cls.ctype.degree):
         count, failed_before = 0, len(failures)
         for count, c in enumerate(group, 1):
@@ -201,8 +192,7 @@ def _cmd_verify(args) -> int:
         ctype = c.cls.ctype
         print(
             f"FAIL l={ctype.degree} form={FORM_SIGIL[ctype.form]} type={c.cls.literal()} "
-            f"q={c.q}: {c.route}; replay: spintori structure --l {ctype.degree} "
-            f"--form {ctype.form} --type={c.cls.literal()} --q {c.q}",
+            f"q={c.q}: {c.route}; replay: spintori structure --type={c.cls.literal()} --q {c.q}",
             file=sys.stderr,
         )
     print(f"total: {total} checks, {len(failures)} failures")
@@ -261,8 +251,22 @@ def _cmd_snf(args) -> int:
     return 0
 
 
+def _at_least_two(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+def _q_list(text: str) -> list[int]:
+    return [_at_least_two(tok) for tok in text.split(",")]
+
+
 def _add_degree(sp):
-    sp.add_argument("--l", type=int, required=True, metavar="L", help="degree, at least 2")
+    sp.add_argument("--l", type=_at_least_two, required=True, metavar="L", help="degree, 2 or more")
 
 
 def _add_form(sp):
@@ -282,10 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("structure", help="closed form for one class")
-    _add_degree(sp)
-    _add_form(sp)
     sp.add_argument("--type", required=True, help="signed cycle type, e.g. 1,-2,-1 or 2,2:-")
-    sp.add_argument("--q", type=int, default=None, help="evaluate and cross-check at this q")
+    sp.add_argument("--q", type=_at_least_two, help="evaluate and cross-check at this q")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_structure)
 
@@ -296,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_table)
 
     sp = sub.add_parser("verify", help="cross-check both routes over a sweep")
-    sp.add_argument("--l-max", type=int, default=4, metavar="L")
-    sp.add_argument("--q", default="2,3,4,5", help="comma separated q values")
+    sp.add_argument("--l-max", type=_at_least_two, default=4, metavar="L")
+    sp.add_argument("--q", type=_q_list, default="2,3,4,5", help="comma separated q values")
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("snf", help="Smith normal form of a matrix file")
@@ -312,12 +314,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.parser = parser
-    if hasattr(args, "l") and args.l < 2:
-        parser.error("degree l must be at least 2")
-    if hasattr(args, "l_max") and args.l_max < 2:
-        parser.error("--l-max must be at least 2")
-    if hasattr(args, "q") and isinstance(args.q, int) and args.q < 2:
-        parser.error("q must be at least 2")
     return args.func(args)
 
 

@@ -37,10 +37,6 @@ class MatrixFormatError(ValueError):
     """Malformed matrix text input."""
 
 
-class PipelineDegenerateError(ValueError):
-    """The block elimination needs at least two parts."""
-
-
 # ---------------------------------------------------------------------------
 # generic helpers
 
@@ -321,7 +317,7 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     """
     parts = ctype.parts
     if len(parts) < 2:
-        raise PipelineDegenerateError("block elimination needs at least two parts")
+        raise ValueError("block elimination needs at least two parts")
     lengths, signs = ctype.lengths, ctype.signs
     m, f = lengths[-1], signs[-1]
     head = len(parts) - 1

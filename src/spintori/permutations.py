@@ -33,6 +33,14 @@ FORM_PLUS = "plus"
 FORM_MINUS = "minus"
 
 
+def form_sign(form: str) -> int:
+    """+1 for FORM_PLUS, -1 for FORM_MINUS: the product of the signs
+    of a cycle type of that form.  Anything else is a ValueError."""
+    if form not in (FORM_PLUS, FORM_MINUS):
+        raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
+    return 1 if form == FORM_PLUS else -1
+
+
 @dataclass(frozen=True)
 class SignedPermutation:
     """A signed permutation, stored as the tuple of images of 1..n.
@@ -165,8 +173,12 @@ class SignedCycleType:
 class TorusClass:
     """A torus class: a signed cycle type plus a split tag when needed.
 
+    A type that splits always carries its tag; left out, it is '+'.
+
     >>> TorusClass(SignedCycleType((2, 2)), "-").literal()
     '2,2:-'
+    >>> TorusClass.parse("2,2").literal()
+    '2,2:+'
     >>> TorusClass(SignedCycleType((3, -1))).literal()
     '3,-1'
     """
@@ -175,24 +187,24 @@ class TorusClass:
     split: str | None = None
 
     def __post_init__(self):
-        if self.split is not None:
-            if self.split not in ("+", "-"):
-                raise ValueError(f"split tag must be '+' or '-', got {self.split!r}")
-            if not self.ctype.is_split_eligible():
-                raise ValueError(f"type {self.ctype.literal()} does not split")
+        if self.split is None:
+            if self.ctype.is_split_eligible():
+                object.__setattr__(self, "split", "+")
+            return
+        if self.split not in ("+", "-"):
+            raise ValueError(f"split tag must be '+' or '-', got {self.split!r}")
+        if not self.ctype.is_split_eligible():
+            raise ValueError(f"type {self.ctype.literal()} does not split")
 
     @classmethod
     def parse(cls, text: str) -> "TorusClass":
         body, sep, tag = text.partition(":")
-        ctype = SignedCycleType.parse(body)
-        if not sep:
-            return cls(ctype)
-        return cls(ctype, tag)
+        return cls(SignedCycleType.parse(body), tag if sep else None)
 
     @classmethod
     def coerce(cls, tau) -> "TorusClass":
-        """A class as given; a cycle type as its class, tagged '+' when
-        it splits.
+        """A class as given; a cycle type as its class (tagged '+' when
+        it splits, as every untagged class is).
 
         >>> TorusClass.coerce(SignedCycleType((2, 2))).literal()
         '2,2:+'
@@ -204,7 +216,7 @@ class TorusClass:
         if isinstance(tau, TorusClass):
             return tau
         if isinstance(tau, SignedCycleType):
-            return cls(tau, "+" if tau.is_split_eligible() else None)
+            return cls(tau)
         raise TypeError(f"expected a torus class or cycle type, got {type(tau).__name__}")
 
     def literal(self) -> str:
@@ -301,9 +313,7 @@ def iter_classes(l: int, form: str) -> Iterator[TorusClass]:
     """
     if l < 2:
         raise ValueError(f"degree must be at least 2, got {l}")
-    if form not in (FORM_PLUS, FORM_MINUS):
-        raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
-    parity = 0 if form == FORM_PLUS else 1
+    parity = (1 - form_sign(form)) // 2  # of the number of negated parts
     for partition in _partitions(l):
         distinct = sorted(set(partition), reverse=True)
         counts = [partition.count(d) for d in distinct]
@@ -315,12 +325,10 @@ def iter_classes(l: int, form: str) -> Iterator[TorusClass]:
         choices.sort()
         for _, negated, negs in choices:
             kept = tuple(d for d, c, k in zip(distinct, counts, negs) for _ in range(c - k))
-            ctype = SignedCycleType(kept + tuple(-d for d in negated))
-            if ctype.is_split_eligible():
-                yield TorusClass(ctype, "+")
-                yield TorusClass(ctype, "-")
-            else:
-                yield TorusClass(ctype)
+            cls = TorusClass(SignedCycleType(kept + tuple(-d for d in negated)))
+            yield cls
+            if cls.split:
+                yield TorusClass(cls.ctype, "-")
 
 
 def enumerate_classes(l: int, form: str) -> list[TorusClass]:

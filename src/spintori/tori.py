@@ -16,11 +16,10 @@ routes it through four mutually exclusive shapes, in this precedence:
 "Standard" factor for a part of length a and sign eps is Z_{q^a - eps};
 ``CyclicFactor`` terms follow that subtractive convention.
 
-``class_checks`` yields every comparison of the closed form with the
-other routes for one class at one q; ``sweep_checks`` runs it over
-degree x form x class x q for ``spintori verify``, and ``spintori
-structure --q`` runs it for the one class it is given, so any failed
-check replays.
+``sweep_checks`` yields every comparison of the closed form with the
+other routes for any classes at any q: ``spintori verify`` passes every
+class of degree 2..l_max, and ``spintori structure --q`` the one class
+it is given, so any failed check replays.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ from math import gcd, prod
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .permutations import (
-    FORM_MINUS,
-    FORM_PLUS,
-    SignedCycleType,
-    TorusClass,
-    iter_classes,
-)
+from .permutations import SignedCycleType, TorusClass, form_sign
 from .smith import invariant_factors
 from .matrices import reduced_form_identity, reduced_torus_matrix, torus_matrix
 
@@ -277,39 +270,32 @@ class Check(NamedTuple):
         return self.want == self.got
 
 
-def class_checks(cls: TorusClass, q: int, dec: TorusDecomposition) -> Iterator[Check]:
-    """Every comparison of the closed form ``dec`` of ``cls`` at q: the
-    lattice SNF (route ``lattice``), the alternative decomposition
-    where one exists (``alternative``), and for l <= 6, a class with at
-    least two parts and split tag other than '-', the basis-change
-    identity (``coupling identity``, want True) and the block-eliminated
-    matrix (``reduced matrix``).
+def sweep_checks(classes, qs) -> Iterator[Check]:
+    """Every comparison of the closed form of each torus class in
+    ``classes`` at each q in ``qs`` (a collection, read once per
+    class): the lattice SNF (route ``lattice``), the alternative
+    decomposition where one exists (``alternative``), and for l <= 6,
+    a class with at least two parts and split tag other than '-', the
+    basis-change identity (``coupling identity``, want True) and the
+    block-eliminated matrix (``reduced matrix``).  Checks come in the
+    order of the classes, then of ``qs``.
 
-    >>> cls = TorusClass.parse("1,-1")
-    >>> [(c.route, c.ok) for c in class_checks(cls, 3, closed_form_decomposition(cls))]
+    >>> [(c.route, c.ok) for c in sweep_checks([TorusClass.parse("1,-1")], [3])]
     [('lattice', True), ('coupling identity', True), ('reduced matrix', True)]
     """
-    want = canonical_invariants(dec.orders(q))
-    yield Check(cls, q, "lattice", want, oracle_invariants(cls, q))
-    alt = alternative_decomposition(cls, q)
-    if alt is not None:
-        yield Check(cls, q, "alternative", want, canonical_invariants(alt.orders(q)))
-    if cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2:
-        yield Check(cls, q, "coupling identity", True, reduced_form_identity(cls.ctype, q))
-        got = canonical_invariants(invariant_factors(reduced_torus_matrix(cls.ctype, q)))
-        yield Check(cls, q, "reduced matrix", want, got)
-
-
-def sweep_checks(l_max: int, qs) -> Iterator[Check]:
-    """Every check of ``spintori verify``, in degree order: the
-    ``class_checks`` of each class of degree 2..l_max, both forms, at
-    each q."""
-    for l in range(2, l_max + 1):
-        for form in (FORM_PLUS, FORM_MINUS):
-            for cls in iter_classes(l, form):
-                dec = closed_form_decomposition(cls)
-                for q in qs:
-                    yield from class_checks(cls, q, dec)
+    for cls in classes:
+        dec = closed_form_decomposition(cls)
+        reduced = cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
+        for q in qs:
+            want = canonical_invariants(dec.orders(q))
+            yield Check(cls, q, "lattice", want, oracle_invariants(cls, q))
+            alt = alternative_decomposition(cls, q)
+            if alt is not None:
+                yield Check(cls, q, "alternative", want, canonical_invariants(alt.orders(q)))
+            if reduced:
+                yield Check(cls, q, "coupling identity", True, reduced_form_identity(cls.ctype, q))
+                got = canonical_invariants(invariant_factors(reduced_torus_matrix(cls.ctype, q)))
+                yield Check(cls, q, "reduced matrix", want, got)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +314,14 @@ def center_invariants(l: int, form, q: int) -> tuple[int, ...]:
     >>> center_invariants(3, "minus", 3)
     (4,)
     """
-    if form not in (FORM_PLUS, FORM_MINUS):
-        raise ValueError(f"not a group form: {form!r}")
+    sign = form_sign(form)
     if l < 2:
         raise ValueError("degree must be at least 2")
-    if form == FORM_PLUS and l % 2 == 0:
+    if sign == 1 and l % 2 == 0:
         d = gcd(2, q - 1)
         raw: tuple[int, ...] = (d, d)
     else:
-        raw = (gcd(4, q**l - (1 if form == FORM_PLUS else -1)),)
+        raw = (gcd(4, q**l - sign),)
     return tuple(x for x in raw if x > 1)
 
 

@@ -34,7 +34,11 @@ SWEEP_QS = (2, 3, 4, 5, 7, 9, 11, 13, 16, 25)
 
 @pytest.fixture(scope="module")
 def sweep():
-    return list(sweep_checks(8, SWEEP_QS))
+    classes = (
+        cls for l in range(2, 9) for form in (FORM_PLUS, FORM_MINUS)
+        for cls in enumerate_classes(l, form)
+    )
+    return list(sweep_checks(classes, SWEEP_QS))
 
 
 def run_cli(*args):

@@ -45,7 +45,7 @@ class TestEnumerate:
 
 class TestStructure:
     def test_text_output(self):
-        res = run("structure", "--l", "4", "--form", "plus", "--type", "2,2", "--q", "3")
+        res = run("structure", "--type", "2,2", "--q", "3")
         assert res.returncode == 0
         assert res.stdout == (
             "type: 2,2:+\n"
@@ -62,14 +62,14 @@ class TestStructure:
         )
 
     def test_explicit_split_tag(self):
-        res = run("structure", "--l", "4", "--form", "plus", "--type", "2,2:-", "--q", "3")
+        res = run("structure", "--type", "2,2:-", "--q", "3")
         assert res.returncode == 0
         assert "split: -\n" in res.stdout
         assert "(defaulted)" not in res.stdout
         assert "verdict: MATCH" in res.stdout
 
     def test_without_q_stops_at_symbolic(self):
-        res = run("structure", "--l", "4", "--form", "minus", "--type", "3,-1")
+        res = run("structure", "--type", "3,-1")
         assert res.returncode == 0
         assert res.stdout == (
             "type: 3,-1\n"
@@ -80,10 +80,7 @@ class TestStructure:
         )
 
     def test_json_fields_and_order(self):
-        res = run(
-            "structure", "--l", "4", "--form", "minus", "--type", "1,1,-2",
-            "--q", "3", "--format", "json",
-        )
+        res = run("structure", "--type", "1,1,-2", "--q", "3", "--format", "json")
         assert res.returncode == 0
         data = json.loads(res.stdout)
         assert list(data) == [
@@ -99,30 +96,34 @@ class TestStructure:
         assert data["match"] is True
 
     def test_json_is_stable_bytes(self):
-        args = ("structure", "--l", "2", "--form", "plus", "--type", "1,1", "--format", "json")
+        args = ("structure", "--type", "1,1", "--format", "json")
         assert run(*args).stdout == run(*args).stdout
         assert run(*args).stdout.endswith("\n")
 
-    def test_degree_mismatch_is_usage_error(self):
-        res = run("structure", "--l", "4", "--form", "plus", "--type", "1,1,1")
-        assert res.returncode == 2
+    def test_degree_and_form_flags_are_refused(self):
+        # the type fixes both; there is nothing left to state twice
+        for flags in (("--l", "4"), ("--form", "plus"), ("--l", "4", "--form", "plus")):
+            res = run("structure", *flags, "--type", "2,2")
+            assert res.returncode == 2, flags
 
-    def test_form_mismatch_is_usage_error(self):
-        res = run("structure", "--l", "4", "--form", "minus", "--type", "2,2")
-        assert res.returncode == 2
+    def test_degree_below_two_is_usage_error(self):
+        for args in (("--type", "1", "--q", "3"), ("--type=-1",)):
+            res = run("structure", *args)
+            assert res.returncode == 2, args
+            assert "degree" in res.stderr and "Traceback" not in res.stderr
 
     def test_bad_type_literal(self):
-        res = run("structure", "--l", "4", "--form", "plus", "--type", "2,x")
+        res = run("structure", "--type", "2,x")
         assert res.returncode == 2
 
     def test_order_law_failure_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "torus_order", lambda cls, q: 0)
-        rc = cli.main(["structure", "--l", "4", "--form", "plus", "--type", "2,2", "--q", "3"])
+        rc = cli.main(["structure", "--type", "2,2", "--q", "3"])
         assert rc == 1
         assert "order law fails for 2,2:+ at q=3" in capsys.readouterr().err
 
     def test_composite_q_warns(self):
-        res = run("structure", "--l", "2", "--form", "plus", "--type", "1,1", "--q", "6")
+        res = run("structure", "--type", "1,1", "--q", "6")
         assert res.returncode == 0
         assert "not a prime power" in res.stderr
 

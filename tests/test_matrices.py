@@ -8,7 +8,6 @@ from spintori import (
     FORM_MINUS,
     FORM_PLUS,
     MatrixFormatError,
-    PipelineDegenerateError,
     SignedCycleType,
     TorusClass,
     canonical_invariants,
@@ -259,7 +258,7 @@ class TestBlockReduction:
                 assert big == small, ct.literal()
 
     def test_single_part_is_degenerate(self):
-        with pytest.raises(PipelineDegenerateError):
+        with pytest.raises(ValueError):
             reduced_torus_matrix(SignedCycleType((4,)), 3)
 
 

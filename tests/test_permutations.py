@@ -133,6 +133,13 @@ class TestCoerce:
         assert TorusClass.coerce(SignedCycleType((2, 2))) == TorusClass.parse("2,2:+")
         assert TorusClass.coerce(SignedCycleType((3, -1))) == TorusClass.parse("3,-1")
 
+    def test_untagged_split_type_is_the_plus_class(self):
+        # "2,2" and "2,2:+" name one class, so they build one value
+        bare, tagged = TorusClass.parse("2,2"), TorusClass.parse("2,2:+")
+        assert bare == tagged and bare.split == "+"
+        assert closed_form_decomposition(bare) == closed_form_decomposition(tagged)
+        assert TorusClass.parse("3,-1").split is None
+
     @pytest.mark.parametrize(
         "call",
         [

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import spintori
@@ -55,7 +56,8 @@ def test_every_definition_is_used():
     assert dead == []
 
 
-BENCHMARK_FILES = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+BENCHMARK_FILES = sorted(PERFBENCH.glob("*.py"))
 
 
 def test_benchmark_imports_resolve():
@@ -78,3 +80,27 @@ def test_benchmark_imports_resolve():
 
 def _is_submodule(package: str, name: str) -> bool:
     return importlib.util.find_spec(f"{package}.{name}") is not None
+
+
+def test_benchmark_makes_the_library_checks():
+    # the sweep workload writes the route conditions out again, and the
+    # benchmark compares its count with the ``total:`` line of ``spintori
+    # verify``; a change to the routes must show here first
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    sweep, counts = workloads.Sweep(), workloads.Counts()
+    pairs = 0
+    for l in range(2, 9):
+        for form in (spintori.FORM_PLUS, spintori.FORM_MINUS):
+            for cls in spintori.iter_classes(l, form):
+                for q in (3, 4):
+                    case = workloads.Case(f"{cls.literal()}@{q}", cls, q)
+                    _, checks, bad = sweep.check(case, workloads.DIRECT, counts)
+                    made = list(spintori.sweep_checks([cls], [q]))
+                    assert (checks, bad) == (len(made), []), case.id
+                    assert all(c.ok for c in made), case.id
+                    pairs += 1
+    assert pairs == 884

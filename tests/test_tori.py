@@ -22,7 +22,9 @@ from spintori import (
     evaluate,
     invariant_factors,
     is_prime_power,
+    iter_classes,
     oracle_invariants,
+    sweep_checks,
     symbolic_decomposition,
     torus_order,
     two_part,
@@ -237,6 +239,19 @@ class TestCanonicalInvariants:
             assert math.prod(chain) == math.prod(orders)
             for a, b in zip(chain, chain[1:]):
                 assert b % a == 0
+
+
+class TestSweepChecks:
+    def test_takes_any_iterable_of_classes(self):
+        one = list(sweep_checks([TorusClass.parse("1,-1")], [3]))
+        assert [(c.route, c.ok) for c in one] == [
+            ("lattice", True), ("coupling identity", True), ("reduced matrix", True)
+        ]
+        classes = enumerate_classes(3, FORM_MINUS)
+        from_list = list(sweep_checks(classes, [2, 3]))
+        assert list(sweep_checks(iter_classes(3, FORM_MINUS), [2, 3])) == from_list
+        lattice = [(c.cls, c.q) for c in from_list if c.route == "lattice"]
+        assert lattice == [(cls, q) for cls in classes for q in (2, 3)]
 
 
 class TestCenter:
