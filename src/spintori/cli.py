@@ -277,32 +277,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spintori",
         description="cyclic decompositions of the maximal tori of the even spin groups",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("enumerate", help="list torus classes")
+    sp = sub.add_parser("enumerate", help="list torus classes", allow_abbrev=False)
     _add_degree(sp)
     _add_form(sp)
     sp.set_defaults(func=_cmd_enumerate)
 
-    sp = sub.add_parser("structure", help="closed form for one class")
+    sp = sub.add_parser("structure", help="closed form for one class", allow_abbrev=False)
     sp.add_argument("--type", required=True, help="signed cycle type, e.g. 1,-2,-1 or 2,2:-")
     sp.add_argument("--q", type=_at_least_two, help="evaluate and cross-check at this q")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_structure)
 
-    sp = sub.add_parser("table", help="all classes of a degree and form")
+    sp = sub.add_parser("table", help="all classes of a degree and form", allow_abbrev=False)
     _add_degree(sp)
     _add_form(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_table)
 
-    sp = sub.add_parser("verify", help="cross-check both routes over a sweep")
+    sp = sub.add_parser("verify", help="cross-check both routes over a sweep", allow_abbrev=False)
     sp.add_argument("--l-max", type=_at_least_two, default=4, metavar="L")
     sp.add_argument("--q", type=_q_list, default="2,3,4,5", help="comma separated q values")
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("snf", help="Smith normal form of a matrix file")
+    sp = sub.add_parser("snf", help="Smith normal form of a matrix file", allow_abbrev=False)
     sp.add_argument("matrix", help="path to a matrix file, or - for stdin")
     sp.add_argument("--witnesses", action="store_true", help="print and check P and Q")
     sp.set_defaults(func=_cmd_snf)

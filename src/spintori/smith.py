@@ -15,13 +15,17 @@ matrix of degree l <= 9 at q = 25, and on the l = 10 class
 ``invariant_factors`` is the invariants-only path.  For a nonsingular
 square A it works modulo R, a divisor of D = |det A|, and never keeps
 an entry outside [0, R) (Hafner & McCurley, SIAM J. Comput. 20(6),
-1991; Cohen, GTM 138, Alg. 2.4.14).  It keeps no witnesses.  Singular
-and non-square input, the only kind with a free part, goes through the
-witness path.
+1991; Cohen, GTM 138, Alg. 2.4.14).  It keeps no witnesses.  Each
+elimination step finds its pivot in one scan of the block, and a step
+on a unit pivot touches only the columns where the pivot row is
+nonzero.  Singular and non-square input, the only kind with a free
+part, goes through the witness path.
 
 ``determinant`` is an independent fraction-free elimination, kept
 deliberately separate from the SNF path so the two can cross-check
-each other.  ``invariant_factors`` takes its modulus from it.
+each other.  ``invariant_factors`` takes its modulus from it.  It does
+no work on the zero entries of a row that is zero in the pivot column,
+so the sparse lattice matrices cost far less than dense ones.
 """
 
 from __future__ import annotations
@@ -56,7 +60,12 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def determinant(a: Matrix) -> int:
-    """Exact determinant by fraction-free elimination.
+    """Exact determinant by fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968).
+
+    Each step sets x <- (x p - f y) / prev, exact since every entry is
+    a minor of a (Sylvester's identity).  A row with f = 0 in the pivot
+    column only has its nonzero entries rescaled, and none if p == prev.
 
     >>> determinant([[10, 0], [0, 8]])
     80
@@ -80,11 +89,19 @@ def determinant(a: Matrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+        top = m[k]
+        p = top[k]
+        for row in m[k + 1 :]:
+            f = row[k]
+            if f:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - f * top[j]) // prev
+                row[k] = 0
+            elif p != prev:
+                for j in range(k + 1, n):
+                    if row[j]:
+                        row[j] = row[j] * p // prev
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
@@ -304,6 +321,11 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     The cokernel is unchanged by this, since D kills it, and every
     stored entry lies in [0, R), so no entry ever reaches D.
 
+    Each step scans the block once.  A unit pivot clears its column,
+    updating rows in place only where the pivot row is nonzero (else
+    the update is x mod R = x); without one, the entry of least gcd to
+    R splits off the factor gcd(pivot, R).
+
     >>> invariant_factors([[2, 1], [0, 2]])
     (1, 4)
     >>> invariant_factors([[10, 0], [0, 8]])
@@ -318,19 +340,20 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     block = [[x % r for x in row] for row in a]
     factors = []
     while block:
-        unit = _find_unit(block, r)
-        if unit is not None:
-            i, j = unit
+        g, i, j = _pivot(block, r)
+        if g == 1:
             top = block.pop(i)
             inv = pow(top[j], -1, r)
-            for k, row in enumerate(block):
+            nonzero = [(c, y) for c, y in enumerate(top) if y]
+            for row in block:
                 f = row[j] * inv % r
                 if f:
-                    row = block[k] = [(x - f * y) % r for x, y in zip(row, top)]
+                    for c, y in nonzero:
+                        row[c] = (row[c] - f * y) % r
                 del row[j]
             factors.append(1)
             continue
-        d = _split_pivot(block, r)
+        d = _split_pivot(block, r, i, j)
         factors.append(d)
         r //= d
         block = [[x % r for x in row[1:]] for row in block[1:]]
@@ -339,27 +362,34 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _find_unit(block: Matrix, r: int) -> tuple[int, int] | None:
+def _pivot(block: Matrix, r: int) -> tuple[int, int, int]:
+    """(g, i, j) for the pivot of one elimination step, in one scan.
+
+    g = gcd(block[i][j], r).  The first entry in row-major order with
+    g = 1, a unit modulo r, ends the scan; without one it is the first
+    entry of least g.  A block that is zero modulo r gives (r, 0, 0);
+    for r = 1 that is a unit too, as every entry is modulo 1.
+    """
+    best = (r, 0, 0)
     for i, row in enumerate(block):
         for j, x in enumerate(row):
-            if x and gcd(x, r) == 1:
-                return i, j
-    return None
+            if x:
+                g = gcd(x, r)
+                if g < best[0]:
+                    if g == 1:
+                        return 1, i, j
+                    best = (g, i, j)
+    return best
 
 
-def _split_pivot(block: Matrix, r: int) -> int:
+def _split_pivot(block: Matrix, r: int, i: int, j: int) -> int:
     """Split one cyclic factor off a block with no unit modulo r.
 
-    Moves the entry with the least gcd to r to (0, 0), clears row 0
-    and column 0 modulo r, and returns d = gcd(pivot, r), the least
-    invariant factor of the block.  A block that is zero modulo r is
-    1 x 1 (or r is 1) and gives d = r.
+    Moves the pivot at (i, j), the entry with the least gcd to r, to
+    (0, 0), clears row 0 and column 0 modulo r, and returns
+    d = gcd(pivot, r), the least invariant factor of the block.  A
+    block that is zero modulo r is 1 x 1 and gives d = r.
     """
-    entries = ((gcd(x, r), i, j) for i, row in enumerate(block) for j, x in enumerate(row) if x)
-    best = min(entries, default=None)
-    if best is None:
-        return r
-    _, i, j = best
     block[0], block[i] = block[i], block[0]
     if j:
         for row in block:

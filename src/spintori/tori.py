@@ -272,8 +272,8 @@ class Check(NamedTuple):
 
 def sweep_checks(classes, qs) -> Iterator[Check]:
     """Every comparison of the closed form of each torus class in
-    ``classes`` at each q in ``qs`` (a collection, read once per
-    class): the lattice SNF (route ``lattice``), the alternative
+    ``classes`` at each q in ``qs`` (any iterable, read once on
+    entry): the lattice SNF (route ``lattice``), the alternative
     decomposition where one exists (``alternative``), and for l <= 6,
     a class with at least two parts and split tag other than '-', the
     basis-change identity (``coupling identity``, want True) and the
@@ -283,6 +283,7 @@ def sweep_checks(classes, qs) -> Iterator[Check]:
     >>> [(c.route, c.ok) for c in sweep_checks([TorusClass.parse("1,-1")], [3])]
     [('lattice', True), ('coupling identity', True), ('reduced matrix', True)]
     """
+    qs = tuple(qs)
     for cls in classes:
         dec = closed_form_decomposition(cls)
         reduced = cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2

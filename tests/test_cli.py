@@ -106,6 +106,14 @@ class TestStructure:
             res = run("structure", *flags, "--type", "2,2")
             assert res.returncode == 2, flags
 
+    def test_abbreviated_flag_is_refused(self):
+        # --form is not taken as short for --format, nor --l for --l-max
+        for args in (("structure", "--type", "2,2", "--form", "json"), ("verify", "--l", "3")):
+            res = run(*args)
+            assert res.returncode == 2, args
+            assert res.stdout == ""
+            assert f"unrecognized arguments: {args[-2]}" in res.stderr, args
+
     def test_degree_below_two_is_usage_error(self):
         for args in (("--type", "1", "--q", "3"), ("--type=-1",)):
             res = run("structure", *args)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -44,6 +45,17 @@ def rectangular_matrices(draw, max_size, bound):
     rows, cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
     entry = st.integers(-bound, bound)
     return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def sparse_square_matrices(draw, max_size, bound):
+    """Square matrices with about three entries in four 0, so that
+    elimination meets rows that are 0 in the pivot column and pivots
+    equal to the one before; entries are small, so many are units."""
+    n = draw(st.integers(1, max_size))
+    cell = st.tuples(st.integers(0, 3), st.integers(-bound, bound))
+    cells = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    return [[x if keep == 0 else 0 for keep, x in row] for row in cells]
 
 
 def snf_nonzero_diagonal(m):
@@ -224,3 +236,53 @@ class TestModularInvariantFactors:
         want = canonical_invariants(closed_form_decomposition(cls).orders(q))
         assert canonical_invariants(invariant_factors(torus_matrix(cls, q))) == want
         assert canonical_invariants(invariant_factors(reduced_torus_matrix(cls.ctype, q))) == want
+
+
+ACCEPTANCE_QS = (2, 3, 4, 5, 7, 9, 11, 13, 16, 25)
+
+
+def kernel_digest():
+    """SHA-256 over ``determinant`` and ``invariant_factors`` of every
+    lattice matrix with l <= 8 at each acceptance q, and of the reduced
+    matrix of every class with l <= 6 that has one (the sweep's
+    condition: two parts or more, split tag other than '-')."""
+    h = hashlib.sha256()
+    for l in range(2, 9):
+        for form in (FORM_PLUS, FORM_MINUS):
+            for cls in enumerate_classes(l, form):
+                reduced = l <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
+                for q in ACCEPTANCE_QS:
+                    m = torus_matrix(cls, q)
+                    h.update(repr((cls.literal(), q, determinant(m), invariant_factors(m))).encode())
+                    if reduced:
+                        m = reduced_torus_matrix(cls.ctype, q)
+                        h.update(repr(("reduced", q, determinant(m), invariant_factors(m))).encode())
+    return h.hexdigest()
+
+
+class TestModularKernel:
+    """The fraction-free determinant and the modular elimination skip
+    work on zero entries; these pin that nothing else moves."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(sparse_square_matrices(max_size=7, bound=4))
+    def test_sparse_determinant_matches_cofactor_expansion(self, m):
+        assert determinant(m) == cofactor_det(m)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(sparse_square_matrices(max_size=7, bound=4), st.sampled_from((1, 1, 2, 3, 6)))
+    def test_sparse_matches_witness_path(self, m, scale):
+        # with scale > 1 every entry shares a factor with det, so the
+        # first step finds no unit and splits a factor off instead
+        m = [[scale * x for x in row] for row in m]
+        det = abs(determinant(m))
+        if scale > 1 and det:
+            assert all(math.gcd(x, det) > 1 for row in m for x in row)
+        assert invariant_factors(m) == snf_nonzero_diagonal(m)
+
+    def test_lattice_results_are_unchanged(self):
+        # recorded before the zero-skipping kernel; a change here is a
+        # change of results, not of speed
+        assert kernel_digest() == (
+            "5be8869211405e70fdf366f8ef6ff53d03b3d3b3b7298eb9a58261182e2ac011"
+        )

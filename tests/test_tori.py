@@ -253,6 +253,14 @@ class TestSweepChecks:
         lattice = [(c.cls, c.q) for c in from_list if c.route == "lattice"]
         assert lattice == [(cls, q) for cls in classes for q in (2, 3)]
 
+    def test_takes_any_iterable_of_qs(self):
+        # q values are read once, not once per class
+        classes = enumerate_classes(3, FORM_MINUS)
+        from_list = list(sweep_checks(classes, [2, 3]))
+        assert len(from_list) == 26
+        assert list(sweep_checks(classes, iter([2, 3]))) == from_list
+        assert list(sweep_checks(iter_classes(3, FORM_MINUS), (q for q in (2, 3)))) == from_list
+
 
 class TestCenter:
     def test_known_values(self):
