@@ -10,8 +10,6 @@ from .permutations import (
     SignedCycleType,
     SignedPermutation,
     TorusClass,
-    conjugate,
-    cycle_type,
     enumerate_classes,
     iter_classes,
     representative,
@@ -45,11 +43,9 @@ from .tori import (
     closed_form_decomposition,
     display_factors,
     embeds,
-    evaluate,
     is_prime_power,
     oracle_invariants,
     sweep_checks,
-    symbolic_decomposition,
     torus_order,
     two_part,
 )
@@ -62,8 +58,6 @@ __all__ = [
     "SignedCycleType",
     "SignedPermutation",
     "TorusClass",
-    "conjugate",
-    "cycle_type",
     "enumerate_classes",
     "iter_classes",
     "representative",
@@ -91,11 +85,9 @@ __all__ = [
     "closed_form_decomposition",
     "display_factors",
     "embeds",
-    "evaluate",
     "is_prime_power",
     "oracle_invariants",
     "sweep_checks",
-    "symbolic_decomposition",
     "torus_order",
     "two_part",
 ]

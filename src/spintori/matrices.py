@@ -25,7 +25,6 @@ from .permutations import (
     SignedCycleType,
     SignedPermutation,
     TorusClass,
-    negate_point,
     representative,
     standard_representative,
 )
@@ -130,7 +129,7 @@ def doubled_inverse_transition(l: int) -> Matrix:
 
 def permutation_matrix(w: SignedPermutation) -> Matrix:
     """Row i carries sign(w(i)) in column |w(i)|; a homomorphism for
-    the left-to-right composition of ``SignedPermutation``.
+    left-to-right composition, (u * v)(i) = v(u(i)).
 
     >>> from .permutations import SignedPermutation
     >>> permutation_matrix(SignedPermutation((2, -1)))
@@ -212,7 +211,8 @@ def twist_factorization_check(ctype: SignedCycleType, q: int) -> bool:
         raise ValueError("check applies to odd types only")
     l = ctype.degree
     u = standard_representative(ctype)
-    w = negate_point(l, l) * u
+    # d * u, d the last-point flip, sends l to u(-l) = -u(l)
+    w = SignedPermutation(u.images[:-1] + (-u.images[-1],))
     lhs = mat_sub(mat_mul(twist_matrix(l, q), weight_action_matrix(w)), mat_identity(l))
     return lhs == torus_matrix(ctype, q)
 

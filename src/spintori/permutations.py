@@ -6,11 +6,8 @@ through w(-i) = -w(i).  We store the images of 1..n as a tuple, so
 ``SignedPermutation((2, -1))`` sends 1 to 2 and 2 to -1.  These are the
 symmetries of the hyperoctahedron; the ones with an even number of sign
 flips form the type-D reflection group, whose conjugacy data drives
-everything else in this package.
-
-Composition reads left to right: ``(u * v)(i) == v(u(i))``.  Under this
-convention ``matrices.permutation_matrix`` is a homomorphism,
-``matrix(u * v) == matrix(u) @ matrix(v)``.
+everything else in this package.  The package never multiplies
+elements; the tests' brute-force oracle carries its own group law.
 
 Cycles are read off the underlying unsigned permutation; a cycle counts
 as negative when the signs met along it multiply to -1.  The multiset of
@@ -48,10 +45,6 @@ class SignedPermutation:
     >>> w = SignedPermutation((2, -1))
     >>> w(1), w(2), w(-2)
     (2, -1, 1)
-    >>> (w * w).images
-    (-1, -2)
-    >>> w.inverse()(2)
-    1
     """
 
     images: tuple[int, ...]
@@ -70,38 +63,6 @@ class SignedPermutation:
             raise ValueError(f"point {i} out of range for degree {self.degree}")
         img = self.images[abs(i) - 1]
         return img if i > 0 else -img
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        if other.degree != self.degree:
-            raise ValueError("cannot compose signed permutations of different degrees")
-        return SignedPermutation(tuple(other(self(i)) for i in range(1, self.degree + 1)))
-
-    def inverse(self) -> "SignedPermutation":
-        imgs = [0] * self.degree
-        for i in range(1, self.degree + 1):
-            j = self.images[i - 1]
-            imgs[abs(j) - 1] = i if j > 0 else -i
-        return SignedPermutation(tuple(imgs))
-
-    def sign_count(self) -> int:
-        """Number of points sent to a negative image."""
-        return sum(1 for x in self.images if x < 0)
-
-
-def negate_point(n: int, k: int) -> SignedPermutation:
-    """The involution fixing every point but flipping the sign at k.
-
-    >>> negate_point(3, 3).images
-    (1, 2, -3)
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"point {k} out of range")
-    return SignedPermutation(tuple(-i if i == k else i for i in range(1, n + 1)))
-
-
-def conjugate(w: SignedPermutation, g: SignedPermutation) -> SignedPermutation:
-    """g^-1 * w * g; preserves the signed cycle type."""
-    return g.inverse() * w * g
 
 
 @dataclass(frozen=True)
@@ -228,32 +189,6 @@ class TorusClass:
         return self.ctype.form
 
 
-def cycle_type(w: SignedPermutation) -> SignedCycleType:
-    """Signed cycle type of an element.
-
-    >>> cycle_type(SignedPermutation((2, 1, 4, -3))).literal()
-    '2,-2'
-    >>> cycle_type(SignedPermutation((2, 1, -4, -3))).literal()
-    '2,2'
-    >>> cycle_type(SignedPermutation((1, -2))).literal()
-    '1,-1'
-    """
-    seen = [False] * w.degree
-    parts = []
-    for start in range(1, w.degree + 1):
-        if seen[start - 1]:
-            continue
-        length, sign, i = 0, 1, start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            img = w(i)
-            sign *= 1 if img > 0 else -1
-            i = abs(img)
-            length += 1
-        parts.append(length * sign)
-    return SignedCycleType(tuple(parts))
-
-
 def standard_representative(ctype: SignedCycleType) -> SignedPermutation:
     """Block representative: consecutive points per part, one sign flip
     on the closing image of each negative part.
@@ -280,10 +215,13 @@ def representative(cls: TorusClass) -> SignedPermutation:
     (2, 1, -4, -3)
     """
     w = standard_representative(cls.ctype)
-    if cls.split == "-":
-        d = negate_point(cls.ctype.degree, cls.ctype.degree)
-        w = conjugate(w, d)
-    return w
+    if cls.split != "-":
+        return w
+    # d w d, d the flip at l, negates the image of l and the image
+    # equal to l.  A split type's last cycle has length >= 2, so these
+    # are two images, w(l) and w(l-1) = l: the last two.
+    images = w.images
+    return SignedPermutation(images[:-2] + (-images[-2], -images[-1]))
 
 
 def _partitions(n: int, max_part: int | None = None):

@@ -194,15 +194,6 @@ def alternative_decomposition(tau, q: int) -> TorusDecomposition | None:
     return TorusDecomposition(cls.ctype, cls.split, "i", factors)
 
 
-def evaluate(tau, q: int) -> tuple[int, ...]:
-    """Closed-form factor orders at a specific q.
-
-    >>> evaluate(SignedCycleType.parse("3,-1"), 3)
-    (104,)
-    """
-    return closed_form_decomposition(tau).orders(q)
-
-
 def torus_order(tau, q: int) -> int:
     """prod(q^length - sign) over the parts; the law every
     decomposition must satisfy.
@@ -452,14 +443,3 @@ def _factor_body(f: CyclicFactor) -> str:
     if len(f.terms) == 1:
         return _term_body(*f.terms[0])
     return "".join(f"({_term_body(a, eps)})" for a, eps in f.terms)
-
-
-def symbolic_decomposition(tau) -> str:
-    """Rendered closed form, e.g. 'Z_{(q^3-1)(q+1)}'.
-
-    >>> symbolic_decomposition(SignedCycleType.parse("3,-1"))
-    'Z_{(q^3-1)(q+1)}'
-    >>> symbolic_decomposition(SignedCycleType.parse("1,-2,-1"))
-    'Z_{q^2+1} x Z_{q^2-1}'
-    """
-    return closed_form_decomposition(tau).symbolic()

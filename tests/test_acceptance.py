@@ -16,10 +16,10 @@ from spintori import (
     TorusClass,
     canonical_invariants,
     center_invariants,
+    closed_form_decomposition,
     determinant,
     embeds,
     enumerate_classes,
-    evaluate,
     invariant_factors,
     reduced_form_identity,
     reduced_torus_matrix,
@@ -119,14 +119,14 @@ def test_center_contained_in_every_torus():
             for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25):
                 z = center_invariants(l, form, q)
                 for cls in enumerate_classes(l, form):
-                    torus = canonical_invariants(evaluate(cls, q))
+                    torus = canonical_invariants(closed_form_decomposition(cls).orders(q))
                     assert embeds(z, torus), (l, form, q, cls.literal())
 
 
 def test_degree_two_exceptional_isomorphisms():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         minus = {
-            cls.literal(): canonical_invariants(evaluate(cls, q))
+            cls.literal(): canonical_invariants(closed_form_decomposition(cls).orders(q))
             for cls in enumerate_classes(2, FORM_MINUS)
         }
         assert minus == {
@@ -134,7 +134,7 @@ def test_degree_two_exceptional_isomorphisms():
             "-2": (q**2 + 1,),
         }
         plus = {
-            cls.literal(): canonical_invariants(evaluate(cls, q))
+            cls.literal(): canonical_invariants(closed_form_decomposition(cls).orders(q))
             for cls in enumerate_classes(2, FORM_PLUS)
         }
         assert plus == {
@@ -154,6 +154,7 @@ def test_even_q_tori_fully_split():
                     split_orders = [
                         q**length - sign for length, sign in zip(ct.lengths, ct.signs)
                     ]
-                    assert canonical_invariants(evaluate(cls, q)) == canonical_invariants(
+                    orders = closed_form_decomposition(cls).orders(q)
+                    assert canonical_invariants(orders) == canonical_invariants(
                         split_orders
                     ), (q, cls.literal())

@@ -16,6 +16,7 @@ from spintori import (
     enumerate_classes,
     format_matrix_text,
     invariant_factors,
+    iter_classes,
     parse_matrix_text,
     reduced_form_identity,
     reduced_torus_matrix,
@@ -37,6 +38,7 @@ from spintori.matrices import (
 )
 from spintori.permutations import SignedPermutation
 
+from oracle_tools import compose
 from test_permutations import random_element
 
 
@@ -113,18 +115,19 @@ class TestBasisMatrices:
             assert prod == [[2 * x for x in row] for row in mat_identity(l)]
 
     def test_permutation_matrix_is_a_homomorphism(self):
+        # for the oracle's left-to-right composition
+        def matrix(images):
+            return permutation_matrix(SignedPermutation(images))
+
         rng = random.Random(19)
         for _ in range(60):
             u, v = random_element(rng, 5), random_element(rng, 5)
-            assert permutation_matrix(u * v) == mat_mul(
-                permutation_matrix(u), permutation_matrix(v)
-            )
+            assert matrix(compose(u, v)) == mat_mul(matrix(u), matrix(v))
 
     def test_weight_action_is_integral_and_unimodular(self):
         rng = random.Random(23)
         for _ in range(60):
-            w = random_element(rng, 6)
-            m = weight_action_matrix(w)
+            m = weight_action_matrix(SignedPermutation(random_element(rng, 6)))
             assert all(isinstance(x, int) for row in m for x in row)
             assert abs(determinant(m)) == 1
 
@@ -205,10 +208,10 @@ class TestTorusMatrix:
             torus_matrix(SignedCycleType((1,)), 3)
 
     def test_twist_factorization(self):
-        for l in range(2, 6):
-            for cls in enumerate_classes(l, FORM_MINUS)[:8]:
-                for q in (2, 3, 4):
-                    assert twist_factorization_check(cls.ctype, q)
+        for l in range(2, 9):
+            for cls in iter_classes(l, FORM_MINUS):
+                for q in (2, 3, 4, 25):
+                    assert twist_factorization_check(cls.ctype, q), (cls.literal(), q)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(torus_classes(), field_sizes)

@@ -10,8 +10,6 @@ from spintori import (
     SignedPermutation,
     TorusClass,
     closed_form_decomposition,
-    conjugate,
-    cycle_type,
     enumerate_classes,
     iter_classes,
     representative,
@@ -19,15 +17,23 @@ from spintori import (
     torus_matrix,
     torus_order,
 )
-from spintori.permutations import negate_point
 
-from oracle_tools import conjugacy_orbits, coset_elements, orbit_type_census
+from oracle_tools import (
+    compose,
+    conjugacy_orbits,
+    conjugate,
+    coset_elements,
+    cycle_type,
+    inverse,
+    orbit_type_census,
+)
 
 
 def random_element(rng, l):
+    """Images of a random signed permutation of 1..l, as a plain tuple."""
     base = list(range(1, l + 1))
     rng.shuffle(base)
-    return SignedPermutation(tuple(rng.choice((1, -1)) * b for b in base))
+    return tuple(rng.choice((1, -1)) * b for b in base)
 
 
 class TestSignedPermutation:
@@ -38,18 +44,19 @@ class TestSignedPermutation:
         assert w(2) == -3
         assert w(-2) == 3
 
+    # the group law lives in the oracle; these pin it
+
     def test_composition_is_left_to_right(self):
-        u = SignedPermutation((2, 1))
-        v = SignedPermutation((-1, 2))
-        # (u * v)(1) = v(u(1)) = v(2) = 2
-        assert (u * v).images == (2, -1)
+        # compose(u, v)(1) = v(u(1)) = v(2) = 2
+        assert compose((2, 1), (-1, 2)) == (2, -1)
 
     def test_inverse(self):
         rng = random.Random(7)
+        identity = tuple(range(1, 6))
         for _ in range(50):
             w = random_element(rng, 5)
-            assert (w * w.inverse()).images == SignedPermutation(tuple(range(1, 6))).images
-            assert (w.inverse() * w).images == SignedPermutation(tuple(range(1, 6))).images
+            assert compose(w, inverse(w)) == identity
+            assert compose(inverse(w), w) == identity
 
     def test_rejects_bad_images(self):
         with pytest.raises(ValueError):
@@ -58,11 +65,6 @@ class TestSignedPermutation:
             SignedPermutation((0, 2))
         with pytest.raises(ValueError):
             SignedPermutation((3, 1))
-
-    def test_negate_point(self):
-        d = negate_point(3, 3)
-        assert d.images == (1, 2, -3)
-        assert d.sign_count() == 1
 
     def test_conjugation_preserves_cycle_type(self):
         rng = random.Random(11)
@@ -74,9 +76,10 @@ class TestSignedPermutation:
 
 class TestCycleType:
     def test_known_values(self):
-        assert cycle_type(SignedPermutation((2, 1, 4, -3))).literal() == "2,-2"
-        assert cycle_type(SignedPermutation((2, 1, -4, -3))).literal() == "2,2"
-        assert cycle_type(SignedPermutation((1, -2))).literal() == "1,-1"
+        assert cycle_type((2, 1, 4, -3)) == "2,-2"
+        assert cycle_type((2, 1, -4, -3)) == "2,2"
+        assert cycle_type((1, -2)) == "1,-1"
+        assert cycle_type((-1, 3, 2, -5, 4)) == "2,-2,-1"
 
     def test_canonical_part_order(self):
         assert SignedCycleType((-1, 2, -2, 1)).parts == (2, 1, -2, -1)
@@ -106,16 +109,27 @@ class TestRepresentatives:
         for l in range(2, 7):
             for form in (FORM_PLUS, FORM_MINUS):
                 for cls in enumerate_classes(l, form):
-                    w = standard_representative(cls.ctype)
-                    assert cycle_type(w) == cls.ctype
-                    assert w.sign_count() % 2 == (0 if form == FORM_PLUS else 1)
+                    images = representative(cls).images
+                    assert cycle_type(images) == cls.ctype.literal()
+                    assert sum(x < 0 for x in images) % 2 == (0 if form == FORM_PLUS else 1)
 
     def test_split_pair_shares_cycle_type(self):
         plus = TorusClass.parse("2,2:+")
         minus = TorusClass.parse("2,2:-")
         wp, wm = representative(plus), representative(minus)
-        assert cycle_type(wp) == cycle_type(wm)
+        assert cycle_type(wp.images) == cycle_type(wm.images) == "2,2"
         assert wp != wm
+
+    def test_split_representatives_are_flip_conjugates(self):
+        # the '-' member is d w d, with w the standard representative
+        # and d the flip at the last point; the '+' member is w itself
+        split = [c for l in range(2, 13) for c in iter_classes(l, FORM_PLUS) if c.split]
+        assert len(split) == 2 * (1 + 2 + 3 + 5 + 7 + 11)
+        for cls in split:
+            l = cls.ctype.degree
+            w = standard_representative(cls.ctype).images
+            want = conjugate(w, tuple(range(1, l)) + (-l,)) if cls.split == "-" else w
+            assert representative(cls).images == want, cls.literal()
 
     def test_split_tag_requires_eligible_type(self):
         with pytest.raises(ValueError):

@@ -31,17 +31,22 @@ def test_exports_resolve():
 
 
 def test_every_definition_is_used():
-    # a top-level function or class that no module's code names (the
-    # re-exports in ``__init__.py`` and docstrings do not count) and
-    # ``__all__`` does not export is dead code
+    # a top-level function or class, or a non-dunder method of a
+    # top-level class, that no module's code names (the re-exports in
+    # ``__init__.py`` and docstrings do not count) and ``__all__`` does
+    # not export is dead code
     defined, used = [], set()
     for path in SOURCE_FILES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        defined += [
-            (path.name, node.name)
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        ]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (path.name, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                ]
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -52,8 +57,24 @@ def test_every_definition_is_used():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 used.update(alias.name for alias in node.names)
     used.update(spintori.__all__)
-    dead = [f"{file}:{name}" for file, name in defined if name not in used]
+    dead = [
+        f"{file}:{name}" for file, name in defined if name.rpartition(".")[2] not in used
+    ]
     assert dead == []
+
+
+def test_oracle_shares_no_code_with_the_library():
+    # the brute-force oracle checks the class enumeration, so it must
+    # not read cycle types or conjugate with the library's own code
+    oracle = Path(__file__).parent / "oracle_tools.py"
+    imported = []
+    for node in ast.walk(ast.parse(oracle.read_text(), filename=str(oracle))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert "functools" in imported
+    assert [name for name in imported if name.partition(".")[0] == "spintori"] == []
 
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"

@@ -19,13 +19,11 @@ from spintori import (
     closed_form_decomposition,
     embeds,
     enumerate_classes,
-    evaluate,
     invariant_factors,
     is_prime_power,
     iter_classes,
     oracle_invariants,
     sweep_checks,
-    symbolic_decomposition,
     torus_order,
     two_part,
 )
@@ -99,14 +97,14 @@ class TestCaseRouting:
 
 class TestEvaluation:
     def test_known_orders(self):
-        assert evaluate(T("3,-1"), 3) == (104,)
-        assert evaluate(T("1,-3"), 3) == (56,)
-        assert evaluate(T("2,2"), 3) == (2, 4, 8)
+        assert closed_form_decomposition(T("3,-1")).orders(3) == (104,)
+        assert closed_form_decomposition(T("1,-3")).orders(3) == (56,)
+        assert closed_form_decomposition(T("2,2")).orders(3) == (2, 4, 8)
 
     def test_oracle_agreement_spot(self):
         for text, q in (("3,-1", 3), ("1,1,-2", 5), ("4,2", 3), ("-2,-2", 2)):
             cls = T(text)
-            want = canonical_invariants(evaluate(cls, q))
+            want = canonical_invariants(closed_form_decomposition(cls).orders(q))
             assert want == oracle_invariants(cls, q)
 
     def test_wrong_two_part_choice_would_fail(self):
@@ -114,7 +112,7 @@ class TestEvaluation:
         # group, so the minimality rule is load bearing
         q = 3
         wrong = canonical_invariants([q**2 - 1, q**2 + 1, q**2 - 1])
-        right = canonical_invariants(evaluate(T("4,2"), q))
+        right = canonical_invariants(closed_form_decomposition(T("4,2")).orders(q))
         assert right == oracle_invariants(T("4,2"), q)
         assert wrong != right
 
@@ -143,7 +141,7 @@ class TestAlternativeDecomposition:
                         if alt is None:
                             continue
                         assert canonical_invariants(alt.orders(q)) == canonical_invariants(
-                            evaluate(cls, q)
+                            closed_form_decomposition(cls).orders(q)
                         )
 
 
@@ -276,7 +274,7 @@ class TestCenter:
         for l, form, q in ((3, FORM_PLUS, 3), (4, FORM_MINUS, 5), (5, FORM_PLUS, 2)):
             z = center_invariants(l, form, q)
             for cls in enumerate_classes(l, form):
-                assert embeds(z, canonical_invariants(evaluate(cls, q)))
+                assert embeds(z, canonical_invariants(closed_form_decomposition(cls).orders(q)))
 
 
 class TestEmbeds:
@@ -365,18 +363,21 @@ class TestRendering:
         assert f.order(3) == 56
 
     def test_symbolic_strings(self):
-        assert symbolic_decomposition(T("3,-1")) == "Z_{(q^3-1)(q+1)}"
-        assert symbolic_decomposition(T("1,-2,-1")) == "Z_{q^2+1} x Z_{q^2-1}"
-        assert symbolic_decomposition(T("2,2")) == "Z_{q^2-1} x Z_{q+1} x Z_{q-1}"
-        assert symbolic_decomposition(T("1,1,-1,-1")) == "Z_{q^2-1} x Z_{q+1} x Z_{q-1}"
-        assert symbolic_decomposition(T("1,1,-2")) == "Z_{(q^2+1)(q-1)} x Z_{q-1}"
-        assert symbolic_decomposition(T("-4")) == "Z_{q^4+1}"
-        assert symbolic_decomposition(T("1,1")) == "Z_{q-1} x Z_{q-1}"
+        for text, want in (
+            ("3,-1", "Z_{(q^3-1)(q+1)}"),
+            ("1,-2,-1", "Z_{q^2+1} x Z_{q^2-1}"),
+            ("2,2", "Z_{q^2-1} x Z_{q+1} x Z_{q-1}"),
+            ("1,1,-1,-1", "Z_{q^2-1} x Z_{q+1} x Z_{q-1}"),
+            ("1,1,-2", "Z_{(q^2+1)(q-1)} x Z_{q-1}"),
+            ("-4", "Z_{q^4+1}"),
+            ("1,1", "Z_{q-1} x Z_{q-1}"),
+        ):
+            assert closed_form_decomposition(T(text)).symbolic() == want, text
 
     def test_merge_only_within_a_factor(self):
         # [2,2] splits one part into q-1 and q+1 as separate factors,
         # which must not merge into a single q^2-1
-        assert symbolic_decomposition(T("2,2")).count("x") == 2
+        assert closed_form_decomposition(T("2,2")).symbolic().count("x") == 2
 
 
 def closed_form_digest(l_max, qs):
