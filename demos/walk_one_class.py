@@ -22,8 +22,7 @@ q = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 cls = TorusClass.parse(text)
 print(f"class {cls.literal()}  (l={cls.ctype.degree}, form {cls.ctype.form})")
 
-w = representative(cls)
-print(f"representative element: {w.images}")
+print(f"representative element: {representative(cls)}")
 
 a = torus_matrix(cls, q)
 print(f"lattice matrix at q={q}:")

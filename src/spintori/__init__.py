@@ -8,7 +8,6 @@ from .permutations import (
     FORM_MINUS,
     FORM_PLUS,
     SignedCycleType,
-    SignedPermutation,
     TorusClass,
     enumerate_classes,
     iter_classes,
@@ -56,7 +55,6 @@ __all__ = [
     "FORM_MINUS",
     "FORM_PLUS",
     "SignedCycleType",
-    "SignedPermutation",
     "TorusClass",
     "enumerate_classes",
     "iter_classes",

@@ -262,7 +262,11 @@ def _at_least_two(text: str) -> int:
 
 
 def _q_list(text: str) -> list[int]:
-    return [_at_least_two(tok) for tok in text.split(",")]
+    qs = [_at_least_two(tok) for tok in text.split(",")]
+    for i, q in enumerate(qs):
+        if q in qs[:i]:
+            raise argparse.ArgumentTypeError(f"q = {q} is given more than once")
+    return qs
 
 
 def _add_degree(sp):

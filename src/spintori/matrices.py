@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from .permutations import (
     SignedCycleType,
-    SignedPermutation,
     TorusClass,
     representative,
     standard_representative,
@@ -127,25 +126,26 @@ def doubled_inverse_transition(l: int) -> Matrix:
     return n
 
 
-def permutation_matrix(w: SignedPermutation) -> Matrix:
-    """Row i carries sign(w(i)) in column |w(i)|; a homomorphism for
-    left-to-right composition, (u * v)(i) = v(u(i)).
+def permutation_matrix(images: tuple[int, ...]) -> Matrix:
+    """Row i carries sign(w(i)) in column |w(i)|, for the element w
+    with these images of 1..l.  A homomorphism for the left-to-right
+    ``compose`` of the tests' oracle, compose(u, v)(i) = v(u(i)): the
+    matrix of compose(u, v) is the matrix of u times that of v.
 
-    >>> from .permutations import SignedPermutation
-    >>> permutation_matrix(SignedPermutation((2, -1)))
+    >>> permutation_matrix((2, -1))
     [[0, 1], [-1, 0]]
     """
-    m = [[0] * w.degree for _ in range(w.degree)]
-    for i in range(1, w.degree + 1):
-        img = w(i)
-        m[i - 1][abs(img) - 1] = 1 if img > 0 else -1
+    l = len(images)
+    m = [[0] * l for _ in range(l)]
+    for row, img in zip(m, images):
+        row[abs(img) - 1] = 1 if img > 0 else -1
     return m
 
 
-def weight_action_matrix(w: SignedPermutation) -> Matrix:
+def weight_action_matrix(images: tuple[int, ...]) -> Matrix:
     """The element's matrix on the fundamental-weight basis: S R S^-1,
-    with S = ``transition_matrix``, R = ``permutation_matrix(w)`` and
-    N = 2 S^-1 = ``doubled_inverse_transition``.
+    with S = ``transition_matrix``, R = ``permutation_matrix(images)``
+    and N = 2 S^-1 = ``doubled_inverse_transition``.
 
     Built row by row in O(l^2), with no matrix product.  Row k of R N
     is sign(w(k)) N[|w(k)|], and row i of S takes the difference of
@@ -154,13 +154,12 @@ def weight_action_matrix(w: SignedPermutation) -> Matrix:
     Integral because the action preserves the weight lattice; the
     halving checks that every entry is even.
 
-    >>> from .permutations import SignedPermutation
-    >>> weight_action_matrix(SignedPermutation((2, 1, 3)))
+    >>> weight_action_matrix((2, 1, 3))
     [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]
     """
-    l = w.degree
+    l = len(images)
     n = doubled_inverse_transition(l)
-    rn = [n[x - 1] if x > 0 else [-v for v in n[-x - 1]] for x in w.images]
+    rn = [n[x - 1] if x > 0 else [-v for v in n[-x - 1]] for x in images]
     doubled = [[x - y for x, y in zip(rn[i], rn[i + 1])] for i in range(l - 1)]
     doubled.append([x + y for x, y in zip(rn[l - 2], rn[l - 1])])
     return _halve_exact(doubled)
@@ -212,7 +211,7 @@ def twist_factorization_check(ctype: SignedCycleType, q: int) -> bool:
     l = ctype.degree
     u = standard_representative(ctype)
     # d * u, d the last-point flip, sends l to u(-l) = -u(l)
-    w = SignedPermutation(u.images[:-1] + (-u.images[-1],))
+    w = u[:-1] + (-u[-1],)
     lhs = mat_sub(mat_mul(twist_matrix(l, q), weight_action_matrix(w)), mat_identity(l))
     return lhs == torus_matrix(ctype, q)
 

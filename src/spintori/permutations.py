@@ -2,8 +2,8 @@
 
 A signed permutation on n points maps each i in {1, ..., n} to a signed
 image w(i), where |w| is a bijection of {1, ..., n} and signs propagate
-through w(-i) = -w(i).  We store the images of 1..n as a tuple, so
-``SignedPermutation((2, -1))`` sends 1 to 2 and 2 to -1.  These are the
+through w(-i) = -w(i).  An element is the plain tuple of its images of
+1..n, so ``(2, -1)`` sends 1 to 2 and 2 to -1.  These are the
 symmetries of the hyperoctahedron; the ones with an even number of sign
 flips form the type-D reflection group, whose conjugacy data drives
 everything else in this package.  The package never multiplies
@@ -36,33 +36,6 @@ def form_sign(form: str) -> int:
     if form not in (FORM_PLUS, FORM_MINUS):
         raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
     return 1 if form == FORM_PLUS else -1
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A signed permutation, stored as the tuple of images of 1..n.
-
-    >>> w = SignedPermutation((2, -1))
-    >>> w(1), w(2), w(-2)
-    (2, -1, 1)
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(abs(x) for x in self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a signed permutation of 1..{n}: {self.images!r}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        if i == 0 or abs(i) > self.degree:
-            raise ValueError(f"point {i} out of range for degree {self.degree}")
-        img = self.images[abs(i) - 1]
-        return img if i > 0 else -img
 
 
 @dataclass(frozen=True)
@@ -184,16 +157,13 @@ class TorusClass:
         base = self.ctype.literal()
         return f"{base}:{self.split}" if self.split else base
 
-    @property
-    def form(self) -> str:
-        return self.ctype.form
 
+def standard_representative(ctype: SignedCycleType) -> tuple[int, ...]:
+    """Images of 1..l under the block representative: consecutive
+    points per part, one sign flip on the closing image of each
+    negative part.
 
-def standard_representative(ctype: SignedCycleType) -> SignedPermutation:
-    """Block representative: consecutive points per part, one sign flip
-    on the closing image of each negative part.
-
-    >>> standard_representative(SignedCycleType((2, -2))).images
+    >>> standard_representative(SignedCycleType((2, -2)))
     (2, 1, 4, -3)
     """
     imgs = []
@@ -204,14 +174,15 @@ def standard_representative(ctype: SignedCycleType) -> SignedPermutation:
             imgs.append(offset + i + 1)
         imgs.append((offset + 1) if p > 0 else -(offset + 1))
         offset += k
-    return SignedPermutation(tuple(imgs))
+    return tuple(imgs)
 
 
-def representative(cls: TorusClass) -> SignedPermutation:
-    """Class representative; the '-' member of a split pair is the
-    standard one conjugated by the sign flip at the last point.
+def representative(cls: TorusClass) -> tuple[int, ...]:
+    """Images of 1..l under the class representative; the '-' member
+    of a split pair is the standard one conjugated by the sign flip at
+    the last point.
 
-    >>> representative(TorusClass.parse("2,2:-")).images
+    >>> representative(TorusClass.parse("2,2:-"))
     (2, 1, -4, -3)
     """
     w = standard_representative(cls.ctype)
@@ -220,8 +191,7 @@ def representative(cls: TorusClass) -> SignedPermutation:
     # d w d, d the flip at l, negates the image of l and the image
     # equal to l.  A split type's last cycle has length >= 2, so these
     # are two images, w(l) and w(l-1) = l: the last two.
-    images = w.images
-    return SignedPermutation(images[:-2] + (-images[-2], -images[-1]))
+    return w[:-2] + (-w[-2], -w[-1])
 
 
 def _partitions(n: int, max_part: int | None = None):

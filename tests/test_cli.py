@@ -246,6 +246,13 @@ class TestVerify:
         assert run("verify", "--l-max", "2", "--q", "2,x").returncode == 2
         assert run("verify", "--l-max", "2", "--q", "1").returncode == 2
 
+    def test_rejects_repeated_q(self):
+        # a repeated q would run and count its checks twice
+        res = run("verify", "--l-max", "3", "--q", "3,5,3")
+        assert res.returncode == 2
+        assert "q = 3 is given more than once" in res.stderr
+        assert res.stdout == ""
+
 
 class TestSnf:
     def test_file_input(self, tmp_path):
