@@ -34,13 +34,11 @@ from .smith import (
 )
 from .tori import (
     Check,
-    CyclicFactor,
     TorusDecomposition,
     alternative_decomposition,
     canonical_invariants,
     center_invariants,
     closed_form_decomposition,
-    display_factors,
     embeds,
     is_prime_power,
     oracle_invariants,
@@ -75,13 +73,11 @@ __all__ = [
     "smith_normal_form",
     "xgcd",
     "Check",
-    "CyclicFactor",
     "TorusDecomposition",
     "alternative_decomposition",
     "canonical_invariants",
     "center_invariants",
     "closed_form_decomposition",
-    "display_factors",
     "embeds",
     "is_prime_power",
     "oracle_invariants",

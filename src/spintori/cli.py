@@ -33,7 +33,6 @@ from .permutations import (
 )
 from .smith import smith_normal_form
 from .tori import (
-    Check,
     TorusDecomposition,
     closed_form_decomposition,
     is_prime_power,
@@ -57,22 +56,26 @@ def _fmt_ints(values) -> str:
     return ", ".join(str(v) for v in values) if values else "(none)"
 
 
-def _report_entry(dec: TorusDecomposition, lattice: Check | None = None) -> dict:
+def _report_entry(cls: TorusClass, dec: TorusDecomposition, checks=()) -> dict:
+    """The JSON record of a class and its closed form; with the checks
+    of one q, also the lattice route's values and whether every check
+    matched."""
     entry = {
-        "l": dec.ctype.degree,
-        "form": FORM_SIGIL[dec.ctype.form],
-        "type": dec.ctype.literal(),
-        "split": dec.split,
+        "l": cls.ctype.degree,
+        "form": FORM_SIGIL[cls.ctype.form],
+        "type": cls.ctype.literal(),
+        "split": cls.split,
         "case": dec.case,
-        "factors": [[list(t) for t in f.terms] for f in dec.factors],
+        "factors": [[list(t) for t in f] for f in dec.factors],
     }
-    if lattice is not None:
+    if checks:
+        lattice = checks[0]
         entry.update(
             q=lattice.q,
             orders=list(dec.orders(lattice.q)),
             invariants=list(lattice.want),
             oracle_invariants=list(lattice.got),
-            match=lattice.ok,
+            match=all(c.ok for c in checks),
         )
     return entry
 
@@ -118,7 +121,7 @@ def _cmd_structure(args) -> int:
             msg = f"FAIL {c.route} for {cls.literal()} at q={args.q}: want {c.want}, got {c.got}"
             print(msg, file=sys.stderr)
 
-    entry = _report_entry(dec, checks[0] if checks else None)
+    entry = _report_entry(cls, dec, checks)
     ok = all(c.ok for c in checks)
     if args.format == "json":
         _emit_json(entry)
@@ -144,7 +147,7 @@ def _cmd_table(args) -> int:
     classes = iter_classes(args.l, args.form)
 
     if args.format == "json":
-        _emit_json([_report_entry(closed_form_decomposition(cls)) for cls in classes])
+        _emit_json([_report_entry(cls, closed_form_decomposition(cls)) for cls in classes])
         return 0
 
     rows = []

@@ -194,16 +194,26 @@ def representative(cls: TorusClass) -> tuple[int, ...]:
     return w[:-2] + (-w[-2], -w[-1])
 
 
-def _partitions(n: int, max_part: int | None = None):
+def _partitions(n: int):
     """Partitions of n as descending tuples, in ascending lexicographic
-    order: (1, ..., 1) first, (n,) last."""
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(max_part, n)
-    for first in range(1, top + 1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+    order: (1, ..., 1) first, (n,) last.
+
+    Iterative, so no depth limit: the successor raises by one the last
+    part that can grow (the first part, or one below its predecessor)
+    and has parts after it, and refills the rest with ones.
+
+    >>> list(_partitions(4))
+    [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+    """
+    p = [1] * n
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i > 0 and p[i] == p[i - 1]:
+            i -= 1
+        if i < 0:
+            return
+        p[i:] = [p[i] + 1] + [1] * (sum(p[i + 1 :]) - 1)
 
 
 def iter_classes(l: int, form: str) -> Iterator[TorusClass]:

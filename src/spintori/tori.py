@@ -13,8 +13,9 @@ routes it through four mutually exclusive shapes, in this precedence:
         -> split a length of least 2-part as (q^(a/2) - 1)(q^(a/2) + 1);
   iv:   anything else -> fully split product of Z_{q^length - sign}.
 
-"Standard" factor for a part of length a and sign eps is Z_{q^a - eps};
-``CyclicFactor`` terms follow that subtractive convention.
+"Standard" factor for a part of length a and sign eps is Z_{q^a - eps}.
+A factor is the tuple of its terms (a, eps), each standing for
+q^a - eps, and a decomposition is its case and its factors.
 
 ``sweep_checks`` yields every comparison of the closed form with the
 other routes for any classes at any q: ``spintori verify`` passes every
@@ -25,7 +26,6 @@ it is given, so any failed check replays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, prod
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -35,61 +35,38 @@ from .smith import invariant_factors
 from .matrices import reduced_form_identity, reduced_torus_matrix, torus_matrix
 
 
-@dataclass(frozen=True)
-class CyclicFactor:
-    """One cyclic factor, a product of terms q^a - eps.
+Factor = tuple[tuple[int, int], ...]
 
-    Terms are held sorted by descending exponent, plus-sign (q^a - 1)
-    before minus-sign (q^a + 1) at equal exponent.
 
-    >>> f = CyclicFactor(((1, 1), (3, -1)))
-    >>> f.terms
-    ((3, -1), (1, 1))
-    >>> f.order(3)
-    56
-    """
-
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("factor needs at least one term")
-        for a, eps in self.terms:
-            if a < 1 or eps not in (1, -1):
-                raise ValueError(f"bad term {(a, eps)!r}")
-        object.__setattr__(
-            self, "terms", tuple(sorted(self.terms, key=lambda t: (-t[0], -t[1])))
-        )
-
-    @staticmethod
-    @cache  # immutable, so shared; degree l asks for at most 2l keys
-    def single(a: int, eps: int) -> "CyclicFactor":
-        return CyclicFactor(((a, eps),))
-
-    def order(self, q: int) -> int:
-        out = 1
-        for a, eps in self.terms:
-            out *= q**a - eps
-        return out
+def _factor(*terms: tuple[int, int]) -> Factor:
+    """A factor of several terms, by descending exponent, q^a - 1
+    before q^a + 1 at equal exponent."""
+    return tuple(sorted(terms, reverse=True))
 
 
 @dataclass(frozen=True)
 class TorusDecomposition:
-    """A class together with its closed-form factor list.
+    """The closed-form case of a class and its factor list.
 
-    ``factors`` keeps the shape the case analysis produces (composite
-    factor first); ``symbolic`` renders the display form, where a
-    (q^a-1)(q^a+1) pair inside a factor merges to q^(2a)-1 and factors
-    are sorted by descending size as polynomials in q.
+    Each factor is a tuple of terms (a, eps), a cyclic group of order
+    the product of the q^a - eps.  ``factors`` keeps the shape the case
+    analysis produces (composite factor first); ``symbolic`` renders
+    the display form, where a (q^a-1)(q^a+1) pair inside a factor
+    merges to q^(2a)-1 and factors are sorted by descending size as
+    polynomials in q.
+
+    >>> dec = closed_form_decomposition(SignedCycleType.parse("1,-3"))
+    >>> dec.factors
+    (((3, -1), (1, 1)),)
+    >>> dec.orders(3)
+    (56,)
     """
 
-    ctype: SignedCycleType
-    split: str | None
     case: str
-    factors: tuple[CyclicFactor, ...]
+    factors: tuple[Factor, ...]
 
     def orders(self, q: int) -> tuple[int, ...]:
-        return tuple(f.order(q) for f in self.factors)
+        return tuple(prod(q**a - eps for a, eps in f) for f in self.factors)
 
     def order(self, q: int) -> int:
         return prod(self.orders(q))
@@ -116,10 +93,10 @@ def _sides(lengths, signs):
     return pos_odd, neg_odd, neg_even
 
 
-def _standard(lengths, signs, *skip) -> tuple[CyclicFactor, ...]:
+def _standard(lengths, signs, *skip) -> tuple[Factor, ...]:
     """The standard factor of every part whose index is not in skip."""
     pairs = enumerate(zip(lengths, signs))
-    return tuple(CyclicFactor.single(a, eps) for k, (a, eps) in pairs if k not in skip)
+    return tuple(((a, eps),) for k, (a, eps) in pairs if k not in skip)
 
 
 def two_part(n: int) -> int:
@@ -142,32 +119,31 @@ def closed_form_decomposition(tau) -> TorusDecomposition:
     'i'
     >>> closed_form_decomposition(SignedCycleType.parse("1,1,-2")).case
     'ii'
-    >>> [f.terms for f in closed_form_decomposition(SignedCycleType.parse("4")).factors]
-    [((2, 1),), ((2, -1),)]
+    >>> closed_form_decomposition(SignedCycleType.parse("4")).factors
+    (((2, 1),), ((2, -1),))
     """
-    cls = TorusClass.coerce(tau)
-    ctype, split = cls.ctype, cls.split
+    ctype = TorusClass.coerce(tau).ctype
     lengths, signs = ctype.lengths, ctype.signs
     pos_odd, neg_odd, neg_even = _sides(lengths, signs)
 
     if pos_odd and neg_odd:
         i, j = _choose(pos_odd), _choose(neg_odd)
-        head = CyclicFactor(((lengths[i], 1), (lengths[j], -1)))
-        return TorusDecomposition(ctype, split, "i", (head,) + _standard(lengths, signs, i, j))
+        head = _factor((lengths[i], 1), (lengths[j], -1))
+        return TorusDecomposition("i", (head,) + _standard(lengths, signs, i, j))
 
     if (pos_odd or neg_odd) and neg_even:
         i, j = _choose(pos_odd or neg_odd), _choose(neg_even)
-        head = CyclicFactor(((lengths[i], signs[i]), (lengths[j], -1)))
-        return TorusDecomposition(ctype, split, "ii", (head,) + _standard(lengths, signs, i, j))
+        head = _factor((lengths[i], signs[i]), (lengths[j], -1))
+        return TorusDecomposition("ii", (head,) + _standard(lengths, signs, i, j))
 
     if ctype.is_split_eligible():
         least = min(two_part(a) for a in lengths)
         i = _choose([(k, a) for k, a in enumerate(lengths) if two_part(a) == least])
         half = lengths[i] // 2
-        halves = (CyclicFactor.single(half, 1), CyclicFactor.single(half, -1))
-        return TorusDecomposition(ctype, split, "iii", halves + _standard(lengths, signs, i))
+        halves = (((half, 1),), ((half, -1),))
+        return TorusDecomposition("iii", halves + _standard(lengths, signs, i))
 
-    return TorusDecomposition(ctype, split, "iv", _standard(lengths, signs))
+    return TorusDecomposition("iv", _standard(lengths, signs))
 
 
 def alternative_decomposition(tau, q: int) -> TorusDecomposition | None:
@@ -182,16 +158,15 @@ def alternative_decomposition(tau, q: int) -> TorusDecomposition | None:
     """
     if q % 2 == 0:
         return None
-    cls = TorusClass.coerce(tau)
-    lengths, signs = cls.ctype.lengths, cls.ctype.signs
+    ctype = TorusClass.coerce(tau).ctype
+    lengths, signs = ctype.lengths, ctype.signs
     pos_odd, neg_odd, neg_even = _sides(lengths, signs)
     if not (pos_odd and neg_odd and neg_even):
         return None
     t = _choose(pos_odd) if q % 4 == 1 else _choose(neg_odd)
     k = _choose(neg_even)
-    composite = CyclicFactor(((lengths[t], signs[t]), (lengths[k], -1)))
-    factors = (composite,) + _standard(lengths, signs, t, k)
-    return TorusDecomposition(cls.ctype, cls.split, "i", factors)
+    composite = _factor((lengths[t], signs[t]), (lengths[k], -1))
+    return TorusDecomposition("i", (composite,) + _standard(lengths, signs, t, k))
 
 
 def torus_order(tau, q: int) -> int:
@@ -399,7 +374,7 @@ def _is_prime(n: int) -> bool:
 # rendering
 
 
-def _merge_terms(terms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+def _merge_terms(terms: Factor) -> Factor:
     ts = list(terms)
     merged = True
     while merged:
@@ -411,7 +386,7 @@ def _merge_terms(terms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], .
                 ts.append((2 * a, 1))
                 merged = True
                 break
-    return tuple(sorted(ts, key=lambda t: (-t[0], -t[1])))
+    return _factor(*ts)
 
 
 def _poly_key(terms) -> tuple:
@@ -426,12 +401,10 @@ def _poly_key(terms) -> tuple:
     return (len(coeffs) - 1, tuple(reversed(coeffs)))
 
 
-def display_factors(dec: TorusDecomposition) -> list[CyclicFactor]:
+def display_factors(dec: TorusDecomposition) -> list[Factor]:
     """Display form of the factors: pairwise merges applied, sorted by
     descending size as polynomials in q."""
-    out = [CyclicFactor(_merge_terms(f.terms)) for f in dec.factors]
-    out.sort(key=lambda f: _poly_key(f.terms), reverse=True)
-    return out
+    return sorted(map(_merge_terms, dec.factors), key=_poly_key, reverse=True)
 
 
 def _term_body(a: int, eps: int) -> str:
@@ -439,7 +412,7 @@ def _term_body(a: int, eps: int) -> str:
     return f"{base}-1" if eps == 1 else f"{base}+1"
 
 
-def _factor_body(f: CyclicFactor) -> str:
-    if len(f.terms) == 1:
-        return _term_body(*f.terms[0])
-    return "".join(f"({_term_body(a, eps)})" for a, eps in f.terms)
+def _factor_body(f: Factor) -> str:
+    if len(f) == 1:
+        return _term_body(*f[0])
+    return "".join(f"({_term_body(a, eps)})" for a, eps in f)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spintori import CyclicFactor, TorusClass, cli, format_matrix_text, tori, torus_matrix
+from spintori import TorusClass, cli, format_matrix_text, tori, torus_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -201,7 +201,7 @@ class TestVerify:
         "route,target,breaker,literal",
         [
             ("alternative", "alternative_decomposition",
-             lambda alt: replace(alt, factors=alt.factors + (CyclicFactor.single(1, -1),)),
+             lambda alt: replace(alt, factors=alt.factors + (((1, -1),),)),
              "1,-2,-1"),
             ("coupling identity", "reduced_form_identity", lambda ok: False, "1,-1"),
             ("reduced matrix", "reduced_torus_matrix",
@@ -231,6 +231,9 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out.endswith("verdict: MISMATCH\n")
         assert err.startswith(f"FAIL {route} for {literal} at q=3: ")
+        # the JSON verdict is the text one: every check, not the lattice alone
+        assert cli.main(replay[1:] + ["--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["match"] is False
 
     def test_rejects_bad_degree(self):
         assert run("verify", "--l-max", "1").returncode == 2

@@ -208,8 +208,7 @@ class TestTorusMatrix:
     def test_twist_factorization(self):
         for l in range(2, 9):
             for cls in iter_classes(l, FORM_MINUS):
-                for q in (2, 3, 4, 25):
-                    assert twist_factorization_check(cls.ctype, q), (cls.literal(), q)
+                assert twist_factorization_check(cls.ctype), cls.literal()
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(torus_classes(), field_sizes)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -232,6 +233,12 @@ class TestEnumeration:
         first = next(iter_classes(40, FORM_PLUS))
         assert time.perf_counter() - start < 1.0
         assert first.literal() == ",".join(["1"] * 40)
+
+    def test_large_degree_needs_no_deep_recursion(self):
+        # the partitions are generated without a stack frame per part,
+        # so a degree past the recursion limit still streams
+        first = list(itertools.islice(iter_classes(1500, FORM_MINUS), 3))
+        assert [c.ctype.num_negative for c in first] == [1, 3, 5]
 
     def test_iter_classes_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

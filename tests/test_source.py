@@ -63,6 +63,28 @@ def test_every_definition_is_used():
     assert dead == []
 
 
+def test_no_recursion():
+    # a function that calls itself needs one Python frame per level, so
+    # a large enough input ends in RecursionError instead of an answer
+    found = []
+    for path in SOURCE_FILES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                by_name = isinstance(f, ast.Name) and f.id == node.name
+                on_self = (
+                    isinstance(f, ast.Attribute) and f.attr == node.name
+                    and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")
+                )
+                if by_name or on_self:
+                    found.append(f"{path.name}:{call.lineno}: {node.name}")
+    assert found == []
+
+
 def test_oracle_shares_no_code_with_the_library():
     # the brute-force oracle checks the class enumeration, so it must
     # not read cycle types or conjugate with the library's own code

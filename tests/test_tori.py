@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spintori import (
     FORM_MINUS,
     FORM_PLUS,
-    CyclicFactor,
     SignedCycleType,
     TorusClass,
     alternative_decomposition,
@@ -44,32 +43,32 @@ class TestCaseRouting:
     def test_case_i(self):
         dec = closed_form_decomposition(T("3,-1"))
         assert dec.case == "i"
-        assert dec.factors[0].terms == ((3, 1), (1, -1))
+        assert dec.factors[0] == ((3, 1), (1, -1))
 
     def test_case_i_prefers_smallest_odd_parts(self):
         dec = closed_form_decomposition(T("3,1,-1"))
-        assert dec.factors[0].terms == ((1, 1), (1, -1))
-        assert [f.terms for f in dec.factors[1:]] == [((3, 1),)]
+        assert dec.factors[0] == ((1, 1), (1, -1))
+        assert list(dec.factors[1:]) == [((3, 1),)]
 
     def test_case_ii_positive_side(self):
         dec = closed_form_decomposition(T("1,1,-2"))
         assert dec.case == "ii"
-        assert dec.factors[0].terms == ((2, -1), (1, 1))
+        assert dec.factors[0] == ((2, -1), (1, 1))
 
     def test_case_ii_negative_side(self):
         dec = closed_form_decomposition(T("-2,-1,-1"))
         assert dec.case == "ii"
-        assert dec.factors[0].terms == ((2, -1), (1, -1))
+        assert dec.factors[0] == ((2, -1), (1, -1))
 
     def test_case_iii_uses_least_two_part(self):
         dec = closed_form_decomposition(T("4,2"))
         assert dec.case == "iii"
-        assert [f.terms for f in dec.factors] == [((1, 1),), ((1, -1),), ((4, 1),)]
+        assert list(dec.factors) == [((1, 1),), ((1, -1),), ((4, 1),)]
 
     def test_case_iii_single_part(self):
         dec = closed_form_decomposition(T("4"))
         assert dec.case == "iii"
-        assert [f.terms for f in dec.factors] == [((2, 1),), ((2, -1),)]
+        assert list(dec.factors) == [((2, 1),), ((2, -1),)]
 
     def test_case_iv(self):
         for text in ("1,1", "-2,-2", "2,1,1", "-4,-2"):
@@ -79,12 +78,6 @@ class TestCaseRouting:
         # both an odd/odd pair and a negated even part present
         dec = closed_form_decomposition(T("1,-2,-1"))
         assert dec.case == "i"
-
-    def test_split_tag_carried_through(self):
-        dec = closed_form_decomposition(TorusClass.parse("2,2:-"))
-        assert dec.split == "-"
-        assert closed_form_decomposition(T("2,2")).split == "+"
-        assert closed_form_decomposition(T("3,1")).split is None
 
     def test_order_law_symbolically(self):
         for l in range(2, 8):
@@ -128,9 +121,9 @@ class TestAlternativeDecomposition:
     def test_anchor_follows_q_mod_four(self):
         cls = T("1,-2,-1")
         alt5 = alternative_decomposition(cls, 5)
-        assert alt5.factors[0].terms == ((2, -1), (1, 1))
+        assert alt5.factors[0] == ((2, -1), (1, 1))
         alt3 = alternative_decomposition(cls, 3)
-        assert alt3.factors[0].terms == ((2, -1), (1, -1))
+        assert alt3.factors[0] == ((2, -1), (1, -1))
 
     def test_matches_primary_decomposition(self):
         for l in range(2, 7):
@@ -177,16 +170,8 @@ class TestAlternativePinned:
                     continue
                 seen += 1
                 assert alt.case == "i"
-                assert (alt.ctype, alt.split) == (cls.ctype, cls.split)
-                assert [f.terms for f in alt.factors] == want, (cls.literal(), q)
+                assert list(alt.factors) == want, (cls.literal(), q)
         assert seen > 1000
-
-    def test_single_rejects_bad_terms(self):
-        with pytest.raises(ValueError):
-            CyclicFactor.single(0, 1)
-        with pytest.raises(ValueError):
-            CyclicFactor.single(1, 0)
-        assert CyclicFactor.single(2, -1).terms == ((2, -1),)
 
 
 def order_lists():
@@ -357,11 +342,6 @@ class TestNumberTheory:
 
 
 class TestRendering:
-    def test_factor_term_order(self):
-        f = CyclicFactor(((1, 1), (3, -1)))
-        assert f.terms == ((3, -1), (1, 1))
-        assert f.order(3) == 56
-
     def test_symbolic_strings(self):
         for text, want in (
             ("3,-1", "Z_{(q^3-1)(q+1)}"),
@@ -384,16 +364,16 @@ def closed_form_digest(l_max, qs):
     """SHA-256 over the closed form, its canonical invariants and the
     alternative decomposition of every class with l <= l_max at each q."""
 
-    def shape(dec):
-        return None if dec is None else (dec.case, dec.split, [f.terms for f in dec.factors])
+    def shape(dec, split):
+        return None if dec is None else (dec.case, split, list(dec.factors))
 
     h = hashlib.sha256()
     for cls in all_classes(l_max):
         dec = closed_form_decomposition(cls)
-        h.update(repr((cls.literal(), shape(dec))).encode())
+        h.update(repr((cls.literal(), shape(dec, cls.split))).encode())
         for q in qs:
-            alt = alternative_decomposition(cls, q)
-            h.update(repr((q, canonical_invariants(dec.orders(q)), shape(alt))).encode())
+            alt, want = alternative_decomposition(cls, q), canonical_invariants(dec.orders(q))
+            h.update(repr((q, want, shape(alt, cls.split))).encode())
     return h.hexdigest()
 
 
