@@ -8,7 +8,7 @@ Subcommands:
   verify      sweep degrees and q values, closed form against lattice
   snf         Smith normal form of a matrix read from a file
 
-Exit codes: 0 ok, 1 a check failed, 2 usage error.
+Exit codes: 0 ok or stdout closed early, 1 a check failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -326,7 +327,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (``... | head``); stdout goes to
+        # devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

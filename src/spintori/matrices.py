@@ -17,9 +17,18 @@ closed form: ``reduced_form_identity`` checks the basis-change identity
 that replaces the weight-basis matrix by a block matrix q*R - E + q*B,
 and ``reduced_torus_matrix`` carries out the block elimination down to
 a small matrix with the same nontrivial invariant factors.
+
+Each check matrix is built in one pass, with no generic matrix product
+and no intermediate matrix, and the weight action W in one place only,
+``_doubled_action_rows``.  ``mat_mul``, the one generic product, is
+left for ``SnfResult.verify``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Iterator
 
 from .permutations import (
     SignedCycleType,
@@ -36,11 +45,7 @@ class MatrixFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# generic helpers
-
-
-def mat_identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+# generic product
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -64,22 +69,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 acc = [s + x * y for s, y in zip(acc, brow)]
         out.append(acc)
     return out
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: int, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def _halve_exact(a: Matrix) -> Matrix:
-    for row in a:
-        for x in row:
-            if x % 2:
-                raise ArithmeticError("entry not even; lattice bookkeeping broken")
-    return [[x // 2 for x in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -106,24 +95,23 @@ def transition_matrix(l: int) -> Matrix:
     return rows
 
 
-def doubled_inverse_transition(l: int) -> Matrix:
+@lru_cache(maxsize=64)
+def doubled_inverse_transition(l: int) -> tuple[tuple[int, ...], ...]:
     """Twice the inverse of ``transition_matrix(l)``, which is integral.
 
+    It depends on l alone, so each degree's basis is built once and
+    kept as a tuple of tuples.
+
     >>> doubled_inverse_transition(2)
-    [[1, 1], [-1, 1]]
+    ((1, 1), (-1, 1))
     >>> mat_mul(transition_matrix(3), doubled_inverse_transition(3))
     [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     """
     if l < 2:
         raise ValueError("need at least two coordinates")
-    n = [[0] * l for _ in range(l)]
-    for k in range(l - 2):
-        for i in range(k + 1):
-            n[i][k] = 2
-    for i in range(l):
-        n[i][l - 2] = -1 if i == l - 1 else 1
-        n[i][l - 1] = 1
-    return n
+    twos = (2,) * (l - 2)
+    rows = tuple((0,) * i + twos[i:] + (1, 1) for i in range(l - 1))
+    return rows + ((0,) * (l - 2) + (-1, 1),)
 
 
 def permutation_matrix(images: tuple[int, ...]) -> Matrix:
@@ -142,31 +130,40 @@ def permutation_matrix(images: tuple[int, ...]) -> Matrix:
     return m
 
 
+def _doubled_action_rows(images: tuple[int, ...]) -> Iterator[list[int]]:
+    """Each row of 2W = S R N, a new list, for the element with these
+    images; N = ``doubled_inverse_transition``.  Row k of R N is
+    sign(w(k)) N[|w(k)|], and row i of S takes the difference of rows i
+    and i+1 (the sum of the last two for the last simple root).  W is
+    integral, since the action preserves the weight lattice, so an odd
+    entry is an ArithmeticError.
+    """
+    n = doubled_inverse_transition(len(images))
+    rn = [n[x - 1] if x > 0 else [-v for v in n[-x - 1]] for x in images]
+    rows = [[x - y for x, y in zip(a, b)] for a, b in zip(rn, rn[1:])]
+    rows.append([x + y for x, y in zip(rn[-2], rn[-1])])
+    for row in rows:
+        if reduce(or_, row) & 1:
+            raise ArithmeticError("entry not even; lattice bookkeeping broken")
+        yield row
+
+
 def weight_action_matrix(images: tuple[int, ...]) -> Matrix:
     """The element's matrix on the fundamental-weight basis: S R S^-1,
-    with S = ``transition_matrix``, R = ``permutation_matrix(images)``
-    and N = 2 S^-1 = ``doubled_inverse_transition``.
-
-    Built row by row in O(l^2), with no matrix product.  Row k of R N
-    is sign(w(k)) N[|w(k)|], and row i of S takes the difference of
-    rows i and i+1 (the sum of the last two rows for the last simple
-    root), so row i of the result is (+-N[|w(a)|] +- N[|w(b)|]) / 2.
-    Integral because the action preserves the weight lattice; the
-    halving checks that every entry is even.
+    with S = ``transition_matrix`` and R = ``permutation_matrix(images)``,
+    built row by row in O(l^2) with no matrix product: each row of
+    ``_doubled_action_rows`` halved.
 
     >>> weight_action_matrix((2, 1, 3))
     [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]
     """
-    l = len(images)
-    n = doubled_inverse_transition(l)
-    rn = [n[x - 1] if x > 0 else [-v for v in n[-x - 1]] for x in images]
-    doubled = [[x - y for x, y in zip(rn[i], rn[i + 1])] for i in range(l - 1)]
-    doubled.append([x + y for x, y in zip(rn[l - 2], rn[l - 1])])
-    return _halve_exact(doubled)
+    return [[x >> 1 for x in row] for row in _doubled_action_rows(images)]
 
 
 def torus_matrix(tau, q: int) -> Matrix:
-    """q * (weight action of the representative) - E.
+    """q * (weight action of the representative) - E, in one pass over
+    the doubled action rows: each entry is q * (x >> 1), less 1 on the
+    diagonal.
 
     Works uniformly for both forms: an even class feeds the untwisted
     endomorphism; an odd class's representative is odd, which absorbs
@@ -181,11 +178,14 @@ def torus_matrix(tau, q: int) -> Matrix:
     cls = TorusClass.coerce(tau)
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    l = cls.ctype.degree
-    if l < 2:
+    if cls.ctype.degree < 2:
         raise ValueError("torus matrices need degree >= 2")
-    m = weight_action_matrix(representative(cls))
-    return [[q * x - 1 if i == j else q * x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    out = []
+    for i, row in enumerate(_doubled_action_rows(representative(cls))):
+        row = [q * (x >> 1) for x in row]
+        row[i] -= 1
+        out.append(row)
+    return out
 
 
 def twist_factorization_check(ctype: SignedCycleType) -> bool:
@@ -207,10 +207,6 @@ def twist_factorization_check(ctype: SignedCycleType) -> bool:
 
 # ---------------------------------------------------------------------------
 # block pipeline
-
-
-def ones_last_column(l: int) -> Matrix:
-    return [[1 if j == l - 1 else 0 for j in range(l)] for _ in range(l)]
 
 
 def coupling_block(length: int, eps: int, last_length: int, last_eps: int) -> Matrix:
@@ -238,20 +234,16 @@ def coupling_block(length: int, eps: int, last_length: int, last_eps: int) -> Ma
 
 
 def coupling_matrix(ctype: SignedCycleType) -> Matrix:
-    """Full l x l correction matrix: zero outside the final block-column."""
-    l = ctype.degree
-    last_len = ctype.lengths[-1]
-    last_eps = ctype.signs[-1]
-    out = [[0] * l for _ in range(l)]
-    col0 = l - last_len
-    row = 0
-    for length, eps in zip(ctype.lengths, ctype.signs):
-        blk = coupling_block(length, eps, last_len, last_eps)
-        for i in range(length):
-            for j in range(last_len):
-                out[row + i][col0 + j] = blk[i][j]
-        row += length
-    return out
+    """Full l x l correction matrix: zero outside the final block-column,
+    into which each row of each part's ``coupling_block`` is written."""
+    lengths, signs = ctype.lengths, ctype.signs
+    last_len, last_eps = lengths[-1], signs[-1]
+    pad = [0] * (ctype.degree - last_len)
+    return [
+        pad + row
+        for length, eps in zip(lengths, signs)
+        for row in coupling_block(length, eps, last_len, last_eps)
+    ]
 
 
 def reduced_form_identity(ctype: SignedCycleType, q: int) -> bool:
@@ -261,32 +253,23 @@ def reduced_form_identity(ctype: SignedCycleType, q: int) -> bool:
 
     with R the standard representative's matrix, J the last-column-ones
     matrix and B the coupling matrix.  Checked doubled, so it stays in
-    integers.
+    integers, row by row with no matrix product: row i of (E + J) R is
+    r = R[i] + R[l-1], and r (2E - J) is 2r less sum(r) in its last
+    entry.  Both sides take 2 off the diagonal.
     """
-    l = ctype.degree
-    if l < 2:
+    if ctype.degree < 2:
         raise ValueError("identity needs degree >= 2")
     r = permutation_matrix(standard_representative(ctype))
-    e = mat_identity(l)
-    j = ones_last_column(l)
-    e_plus_j = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(e, j)]
-    two_e_minus_j = mat_sub(mat_scale(2, e), j)
-    lhs2 = mat_sub(mat_scale(q, mat_mul(mat_mul(e_plus_j, r), two_e_minus_j)), mat_scale(2, e))
-    rhs = mat_sub(mat_scale(q, r), e)
-    b = coupling_matrix(ctype)
-    rhs2 = mat_scale(2, [[x + q * y for x, y in zip(ra, rb)] for ra, rb in zip(rhs, b)])
-    return lhs2 == rhs2
-
-
-def geometric_sum(q: int, lo: int, hi: int) -> int:
-    """q^lo + q^(lo+1) + ... + q^hi, zero when the range is empty.
-
-    >>> geometric_sum(3, 2, 4)
-    117
-    >>> geometric_sum(3, 2, 1)
-    0
-    """
-    return sum(q**e for e in range(lo, hi + 1))
+    last, last_sum, q2 = r[-1], sum(r[-1]), 2 * q
+    for i, (ri, bi) in enumerate(zip(r, coupling_matrix(ctype))):
+        lhs = [q2 * (x + y) for x, y in zip(ri, last)]
+        lhs[-1] -= q * (sum(ri) + last_sum)
+        lhs[i] -= 2
+        rhs = [q2 * (x + y) for x, y in zip(ri, bi)]
+        rhs[i] -= 2
+        if lhs != rhs:
+            return False
+    return True
 
 
 def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
@@ -296,7 +279,8 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     For r+s parts with final part length m and sign f, the shape is
     (r+s+1) x (r+s+1) when m > 1 and (r+s) x (r+s) when m == 1; the
     first r+s-1 rows carry diag(q^length - sign) plus coupling entries
-    in the trailing column(s).
+    in the trailing column(s).  Every entry is read off one table of
+    the powers of q and their running sums, built once per call.
 
     >>> reduced_torus_matrix(SignedCycleType((1, -1)), 3)
     [[2, -3], [0, 4]]
@@ -309,12 +293,17 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     lengths, signs = ctype.lengths, ctype.signs
     m, f = lengths[-1], signs[-1]
     head = len(parts) - 1
+    # power[k] = q^k and above[k] = q^2 + ... + q^k, zero for k < 2
+    power, above = [1, q], [0, 0]
+    for _ in range(max(lengths) - 1):
+        power.append(power[-1] * q)
+        above.append(above[-1] + power[-1])
 
     def a_entry(i):
-        return f * (signs[i] * q + geometric_sum(q, 2, lengths[i]))
+        return f * (signs[i] * q + above[lengths[i]])
 
     def b_entry(i):
-        num = (1 + f * signs[i]) * q + (1 + f) * geometric_sum(q, 2, lengths[i])
+        num = (1 + f * signs[i]) * q + (1 + f) * above[lengths[i]]
         if num % 2:
             raise ArithmeticError("coupling entry not even; block elimination broken")
         return -(num // 2)
@@ -323,12 +312,12 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
         n = head + 2
         out = [[0] * n for _ in range(n)]
         for i in range(head):
-            out[i][i] = q ** lengths[i] - signs[i]
+            out[i][i] = power[lengths[i]] - signs[i]
             out[i][n - 2] = a_entry(i)
             out[i][n - 1] = b_entry(i)
-        tail_sum = geometric_sum(q, 1, m - 1)
+        tail_sum = q + above[m - 1]
         out[n - 2][n - 2] = -1 + f * tail_sum
-        out[n - 2][n - 1] = q ** (m - 1) - ((1 + f) // 2) * tail_sum
+        out[n - 2][n - 1] = power[m - 1] - ((1 + f) // 2) * tail_sum
         out[n - 1][n - 2] = 2 * q
         out[n - 1][n - 1] = -q - f
         return out
@@ -336,7 +325,7 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     n = head + 1
     out = [[0] * n for _ in range(n)]
     for i in range(head):
-        out[i][i] = q ** lengths[i] - signs[i]
+        out[i][i] = power[lengths[i]] - signs[i]
         out[i][n - 1] = a_entry(i) + b_entry(i)
     out[n - 1][n - 1] = q - f
     return out

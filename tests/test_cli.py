@@ -42,6 +42,21 @@ class TestEnumerate:
         res = run("enumerate", "--l", "2")
         assert res.returncode == 2
 
+    def test_reader_closing_early_is_not_an_error(self):
+        # spintori enumerate --l 30 --form plus | head -1
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spintori", "enumerate", "--l", "30", "--form", "plus"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert first == "1," * 29 + "1\n"
+        assert err == ""
+
 
 class TestStructure:
     def test_text_output(self):

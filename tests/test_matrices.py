@@ -21,17 +21,17 @@ from spintori import (
     reduced_form_identity,
     reduced_torus_matrix,
     representative,
+    standard_representative,
     torus_matrix,
     torus_order,
     transition_matrix,
     weight_action_matrix,
 )
+from spintori import matrices
 from spintori.matrices import (
-    _halve_exact,
     coupling_block,
     coupling_matrix,
     doubled_inverse_transition,
-    mat_identity,
     mat_mul,
     permutation_matrix,
     twist_factorization_check,
@@ -39,6 +39,8 @@ from spintori.matrices import (
 
 from oracle_tools import compose
 from test_permutations import random_element
+
+ACCEPTANCE_QS = (2, 3, 4, 5, 7, 9, 11, 13, 16, 25)
 
 
 def multi_part_types(l_max):
@@ -52,12 +54,36 @@ def multi_part_types(l_max):
                     yield ct
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def dense_weight_action(w):
     # the textbook S R S^-1, through two full products and the halving
     l = len(w)
-    return _halve_exact(
-        mat_mul(mat_mul(transition_matrix(l), permutation_matrix(w)), doubled_inverse_transition(l))
+    doubled = mat_mul(
+        mat_mul(transition_matrix(l), permutation_matrix(w)), doubled_inverse_transition(l)
     )
+    assert all(x % 2 == 0 for row in doubled for x in row)
+    return [[x // 2 for x in row] for row in doubled]
+
+
+def generic_identity_sides(ct, q):
+    # both doubled sides of q (E + J) R (E - J/2) - E == q R - E + q B,
+    # through the generic product and whole-matrix sums
+    l = ct.degree
+    e = identity(l)
+    j = [[int(c == l - 1) for c in range(l)] for _ in range(l)]
+    r = permutation_matrix(standard_representative(ct))
+    e_plus_j = [[x + y for x, y in zip(a, b)] for a, b in zip(e, j)]
+    two_e_minus_j = [[2 * x - y for x, y in zip(a, b)] for a, b in zip(e, j)]
+    product = mat_mul(mat_mul(e_plus_j, r), two_e_minus_j)
+    lhs = [[q * x - 2 * y for x, y in zip(a, b)] for a, b in zip(product, e)]
+    rhs = [
+        [2 * (q * x - y + q * z) for x, y, z in zip(a, b, c)]
+        for a, b, c in zip(r, e, coupling_matrix(ct))
+    ]
+    return lhs, rhs
 
 
 @st.composite
@@ -111,7 +137,7 @@ class TestBasisMatrices:
     def test_doubled_inverse(self):
         for l in range(2, 9):
             prod = mat_mul(transition_matrix(l), doubled_inverse_transition(l))
-            assert prod == [[2 * x for x in row] for row in mat_identity(l)]
+            assert prod == [[2 * x for x in row] for row in identity(l)]
 
     def test_permutation_matrix_is_a_homomorphism(self):
         # for the oracle's left-to-right composition
@@ -167,9 +193,36 @@ class TestDirectWeightAction:
                         ]
                         assert torus_matrix(cls, q) == expected, (cls.literal(), q)
 
-    def test_odd_entry_is_refused(self):
-        with pytest.raises(ArithmeticError):
-            _halve_exact([[2, 1]])
+    def test_odd_entry_is_refused(self, monkeypatch):
+        # one entry of the basis made odd, at each position in turn,
+        # leaves an odd entry in some row of 2W for every element
+        real = doubled_inverse_transition
+        w = (2, -3, 1, 4)
+        for i in range(4):
+            for k in range(4):
+                basis = [list(row) for row in real(4)]
+                basis[i][k] += 1
+                monkeypatch.setattr(matrices, "doubled_inverse_transition", lambda l: basis)
+                with pytest.raises(ArithmeticError):
+                    weight_action_matrix(w)
+                with pytest.raises(ArithmeticError):
+                    torus_matrix(TorusClass.parse("2,-1,1"), 3)
+        monkeypatch.undo()
+        assert weight_action_matrix(w) == dense_weight_action(w)
+
+    def test_returned_matrices_are_fresh(self):
+        # the basis is cached per degree; no caller's edit reaches it
+        cls = TorusClass.parse("3,-2,1")
+        w = representative(cls)
+        want_w, want_t = dense_weight_action(w), torus_matrix(cls, 5)
+        for m in (weight_action_matrix(w), torus_matrix(cls, 5)):
+            for row in m:
+                row[:] = [7] * len(row)
+            m.append([0] * 6)
+        assert weight_action_matrix(w) == want_w
+        assert torus_matrix(cls, 5) == want_t
+        doubled = mat_mul(transition_matrix(6), doubled_inverse_transition(6))
+        assert doubled == [[2 * x for x in row] for row in identity(6)]
 
 
 class TestTorusMatrix:
@@ -178,12 +231,8 @@ class TestTorusMatrix:
             l = 3
             plus = SignedCycleType((1,) * l)
             minus = SignedCycleType((-1,) * l)
-            assert torus_matrix(plus, q) == [
-                [(q - 1) * e for e in row] for row in mat_identity(l)
-            ]
-            assert torus_matrix(minus, q) == [
-                [-(q + 1) * e for e in row] for row in mat_identity(l)
-            ]
+            assert torus_matrix(plus, q) == [[(q - 1) * e for e in row] for row in identity(l)]
+            assert torus_matrix(minus, q) == [[-(q + 1) * e for e in row] for row in identity(l)]
 
     def test_order_law_per_matrix(self):
         for l in range(2, 6):
@@ -238,9 +287,30 @@ class TestBlockReduction:
             assert row[:4] == [0] * 4
 
     def test_reduced_form_identity_sweep(self):
-        for ct in multi_part_types(5):
-            for q in (2, 3, 5):
-                assert reduced_form_identity(ct, q)
+        # the row-by-row identity against the generic triple product
+        types = list(multi_part_types(8))
+        assert len(types) == 417
+        for ct in types:
+            for q in ACCEPTANCE_QS:
+                lhs, rhs = generic_identity_sides(ct, q)
+                assert lhs == rhs, (ct.literal(), q)
+                assert reduced_form_identity(ct, q), (ct.literal(), q)
+
+    def test_identity_refuses_a_changed_coupling_entry(self, monkeypatch):
+        real = coupling_matrix
+        for ct in multi_part_types(4):
+            l = ct.degree
+            for i in range(l):
+                for j in range(l):
+                    def changed(c, i=i, j=j):
+                        b = real(c)
+                        b[i][j] += 1
+                        return b
+
+                    monkeypatch.setattr(matrices, "coupling_matrix", changed)
+                    assert not reduced_form_identity(ct, 3), (ct.literal(), i, j)
+        monkeypatch.undo()
+        assert all(reduced_form_identity(ct, 3) for ct in multi_part_types(4))
 
     def test_reduced_matrix_frozen_examples(self):
         assert reduced_torus_matrix(SignedCycleType((1, -1)), 3) == [[2, -3], [0, 4]]
