@@ -34,6 +34,7 @@ from .permutations import (
 )
 from .smith import smith_normal_form
 from .tori import (
+    Check,
     TorusDecomposition,
     closed_form_decomposition,
     is_prime_power,
@@ -109,15 +110,8 @@ def _cmd_structure(args) -> int:
     checks = []
     if args.q is not None:
         _warn_composite_q(args.q)
-        closed, direct = dec.order(args.q), torus_order(cls, args.q)
-        if closed != direct:
-            print(
-                f"error: order law fails for {cls.literal()} at q={args.q}: "
-                f"closed form gives {closed}, torus order is {direct}",
-                file=sys.stderr,
-            )
-            return 1
         checks = list(sweep_checks([cls], [args.q]))
+        checks.append(Check(cls, args.q, "order law", torus_order(cls, args.q), dec.order(args.q)))
         for c in (c for c in checks if not c.ok):
             msg = f"FAIL {c.route} for {cls.literal()} at q={args.q}: want {c.want}, got {c.got}"
             print(msg, file=sys.stderr)
@@ -298,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type", required=True, help="signed cycle type, e.g. 1,-2,-1 or 2,2:-")
     sp.add_argument("--q", type=_at_least_two, help="evaluate and cross-check at this q")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_structure)
+    sp.set_defaults(func=_cmd_structure, parser=sp)
 
     sp = sub.add_parser("table", help="all classes of a degree and form", allow_abbrev=False)
     _add_degree(sp)
@@ -314,15 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("snf", help="Smith normal form of a matrix file", allow_abbrev=False)
     sp.add_argument("matrix", help="path to a matrix file, or - for stdin")
     sp.add_argument("--witnesses", action="store_true", help="print and check P and Q")
-    sp.set_defaults(func=_cmd_snf)
+    sp.set_defaults(func=_cmd_snf, parser=sp)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.parser = parser
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

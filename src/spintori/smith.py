@@ -46,24 +46,22 @@ Matrix = list[list[int]]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y == g >= 0.
+    """Extended gcd: returns (g, x, y) with a*x + b*y == g == gcd(a, b) >= 0.
+
+    Read off ``math.gcd`` and a modular inverse, with no Python loop:
+    x is the inverse of a/g modulo |b|/g, taken in [0, |b|/g), and
+    y = (g - a x) / b exactly.  For b == 0 it is (|a|, +-1, 0).
 
     >>> xgcd(3, 2)
     (1, 1, -1)
     >>> xgcd(0, -5)
     (5, 0, -1)
     """
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    if not b:
+        return abs(a), -1 if a < 0 else 1, 0
+    g = gcd(a, b)
+    x = pow(a // g, -1, abs(b) // g)
+    return g, x, (g - a * x) // b
 
 
 def determinant(a: Matrix) -> int:

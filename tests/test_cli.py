@@ -44,16 +44,16 @@ class TestEnumerate:
 
     def test_reader_closing_early_is_not_an_error(self):
         # spintori enumerate --l 30 --form plus | head -1
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "spintori", "enumerate", "--l", "30", "--form", "plus"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
         assert first == "1," * 29 + "1\n"
         assert err == ""
 
@@ -136,14 +136,30 @@ class TestStructure:
             assert "degree" in res.stderr and "Traceback" not in res.stderr
 
     def test_bad_type_literal(self):
-        res = run("structure", "--type", "2,x")
-        assert res.returncode == 2
+        # the usage printed is the subcommand's, not the top level's
+        for literal in ("2,x", "0"):
+            res = run("structure", "--type", literal)
+            assert res.returncode == 2, literal
+            assert res.stderr.startswith("usage: spintori structure "), literal
 
     def test_order_law_failure_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "torus_order", lambda cls, q: 0)
         rc = cli.main(["structure", "--type", "2,2", "--q", "3"])
         assert rc == 1
-        assert "order law fails for 2,2:+ at q=3" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "FAIL order law for 2,2:+ at q=3: want 0, got 64\n" in err
+        assert out.endswith("verdict: MISMATCH\n")
+
+    def test_order_law_failure_in_json(self, monkeypatch, capsys):
+        # the order law is one more check: a JSON record is still printed
+        monkeypatch.setattr(cli, "torus_order", lambda cls, q: 0)
+        rc = cli.main(["structure", "--type", "2,2", "--q", "3", "--format", "json"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        data = json.loads(out)
+        assert data["match"] is False
+        assert data["invariants"] == data["oracle_invariants"] == [2, 4, 8]
+        assert err.splitlines() == ["FAIL order law for 2,2:+ at q=3: want 0, got 64"]
 
     def test_composite_q_warns(self):
         res = run("structure", "--type", "1,1", "--q", "6")
@@ -299,7 +315,9 @@ class TestSnf:
     def test_malformed_matrix(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 2 3\n")
-        assert run("snf", str(path)).returncode == 2
+        res = run("snf", str(path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage: spintori snf ")
 
     def test_missing_file(self):
         assert run("snf", "/nonexistent/m.txt").returncode == 2

@@ -84,6 +84,9 @@ def cofactor_det(m):
     return total
 
 
+XGCD_OPERANDS = st.one_of(st.just(0), st.integers(-1000, 1000), st.integers(-(2**80), 2**80))
+
+
 class TestXgcd:
     def test_known_values(self):
         assert xgcd(3, 2) == (1, 1, -1)
@@ -97,6 +100,17 @@ class TestXgcd:
             g, x, y = xgcd(a, b)
             assert g == math.gcd(a, b)
             assert a * x + b * y == g
+
+    @given(XGCD_OPERANDS, XGCD_OPERANDS, st.integers(1, 2**70))
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_property(self, a, b, c):
+        # zero, negative and wider-than-64-bit operands, each pair also
+        # with a large common factor c
+        for a, b in ((a, b), (a * c, b * c)):
+            g, x, y = xgcd(a, b)
+            assert a * x + b * y == g == math.gcd(a, b) >= 0
+            if b:
+                assert abs(x) * g <= abs(b)
 
 
 class TestDeterminant:

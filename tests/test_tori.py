@@ -359,6 +359,28 @@ class TestRendering:
         # which must not merge into a single q^2-1
         assert closed_form_decomposition(T("2,2")).symbolic().count("x") == 2
 
+    def test_rendering_is_unchanged(self):
+        # the golden tables render l = 4 only; this covers every class
+        # up to l = 12, recorded before the merge of a factor's terms was
+        # cut to the one merge a closed-form factor can have
+        assert rendering_digest(12) == (
+            "86c8a5b616ffeca7b25423ee2c10c78fee9dd01dc277f6893ed69f177da35ed6"
+        )
+
+
+def rendering_digest(l_max):
+    """SHA-256 over the display form of the closed form of every class
+    with l <= l_max, and of its alternative decomposition at q = 3 and
+    at q = 5, which anchor it on opposite sides."""
+    h = hashlib.sha256()
+    for cls in all_classes(l_max):
+        h.update(f"{cls.literal()} {closed_form_decomposition(cls).symbolic()}\n".encode())
+        for q in (3, 5):
+            alt = alternative_decomposition(cls, q)
+            if alt is not None:
+                h.update(f"{q} {alt.symbolic()}\n".encode())
+    return h.hexdigest()
+
 
 def closed_form_digest(l_max, qs):
     """SHA-256 over the closed form, its canonical invariants and the
