@@ -21,24 +21,31 @@ on a unit pivot touches only the columns where the pivot row is
 nonzero.  A k x k block with no unit modulo R whose content
 c = gcd(R, entries) exceeds 1 is c times a block B' whose cokernel has
 order R / c^k: the step divides c out, with no row or column
-operation, and every later factor is multiplied by c.  Only a block
-with content 1 and no unit is split by gcd row and column operations
-(``_split_pivot``), which leave a unit pivot.  The last two rows are
-read off directly: a 2 x 2 block has the factors g = gcd(R, entries)
-and R / g, a 1 x 1 block the factor R.  Singular and non-square
-input, the only kind with a free part, goes through the witness path.
+operation, and every later factor is multiplied by c.  In a block of
+content 1 and no unit, a row whose one nonzero entry x has
+g = gcd(x, R) dividing the rest of its column is a cyclic summand
+Z/g, and so is such a column: it is deleted, R is divided by g, and
+the summand's order is merged into the factor chain at the end.  Only
+when no row or column splits off is the block split by gcd row and
+column operations (``_split_pivot``), which leave a unit pivot.  The
+last two rows are read off directly: a 2 x 2 block has the factors
+g = gcd(R, entries) and R / g, a 1 x 1 block the factor R.  Singular
+and non-square input, the only kind with a free part, goes through the
+witness path.
 
 ``determinant`` is an independent fraction-free elimination, kept
 deliberately separate from the SNF path so the two can cross-check
-each other.  ``invariant_factors`` takes its modulus from it.  It does
-no work on the zero entries of a row that is zero in the pivot column,
-so the sparse lattice matrices cost far less than dense ones.
+each other; it calls no other function of this module.
+``invariant_factors`` takes its modulus from it.  A row that is zero
+in the pivot column is not touched at all: each row keeps the pivot it
+was last brought to, so the sparse lattice matrices cost far less than
+dense ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .matrices import mat_mul
 
@@ -65,12 +72,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def determinant(a: Matrix) -> int:
-    """Exact determinant by fraction-free elimination (Bareiss, Math.
-    Comp. 22, 1968).
+    """Exact determinant by lazily scaled fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968).
 
-    Each step sets x <- (x p - f y) / prev, exact since every entry is
-    a minor of a (Sylvester's identity).  A row with f = 0 in the pivot
-    column only has its nonzero entries rescaled, and none if p == prev.
+    Bareiss's step k sets x <- (x p - f y) / prev, exact since every
+    entry is then a minor of a (Sylvester's identity); a row with f = 0
+    in the pivot column is only rescaled by p / prev.  Here such a row
+    is not touched at all.  Each row keeps the pivot s it was last
+    brought to, starting at 1, and holds Bareiss's entries times s /
+    prev.  A row eliminated later divides by its own s, which gives
+    the same minor as Bareiss; the pivot row and the last entry are
+    brought current as x prev / s, also exact.  On dense input every
+    s equals prev, and the steps are Bareiss's.
 
     >>> determinant([[10, 0], [0, 8]])
     80
@@ -83,6 +96,7 @@ def determinant(a: Matrix) -> int:
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
     m = [row[:] for row in a]
+    level = [1] * n  # the pivot each row was last brought to
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -90,24 +104,27 @@ def determinant(a: Matrix) -> int:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
+                    level[k], level[i] = level[i], level[k]
                     sign = -sign
                     break
             else:
                 return 0
         top = m[k]
+        s = level[k]
+        if s != prev:
+            top = [x * prev // s for x in top]
         p = top[k]
-        for row in m[k + 1 :]:
+        for i in range(k + 1, n):
+            row = m[i]
             f = row[k]
             if f:
+                s = level[i]
                 for j in range(k + 1, n):
-                    row[j] = (row[j] * p - f * top[j]) // prev
+                    row[j] = (row[j] * p - f * top[j]) // s
                 row[k] = 0
-            elif p != prev:
-                for j in range(k + 1, n):
-                    if row[j]:
-                        row[j] = row[j] * p // prev
+                level[i] = p
         prev = p
-    return sign * m[n - 1][n - 1]
+    return sign * (m[n - 1][n - 1] * prev // level[n - 1])
 
 
 @dataclass
@@ -333,13 +350,17 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     c = gcd(R, every entry) > 1, the block is c B' and every factor
     left is a multiple of c, so c joins a running ``scale``, R becomes
     R / c^k, the order of the cokernel of B', and each entry x becomes
-    (x / c) mod R.  That costs no row or column operation.  Only a
-    block of content 1 and no unit goes to ``_split_pivot``, which
-    builds a unit pivot by gcd row and column mixes and so splits off
-    the factor 1.  The loop stops at two rows:
-    a 2 x 2 block has the factors g = gcd(R, its entries) and R / g, a
-    1 x 1 block the factor R.  Every factor is recorded times
-    ``scale``.
+    (x / c) mod R.  That costs no row or column operation.  A block of
+    content 1 and no unit next gives up its cyclic summands
+    (``_cyclic_summands``): each is deleted with its row and column, its
+    order g is recorded times ``scale``, and R becomes R / g.  Only a
+    block with none goes to ``_split_pivot``, which builds a unit pivot
+    by gcd row and column mixes and so splits off the factor 1.  The
+    loop stops at two rows: a 2 x 2 block has the factors
+    g = gcd(R, its entries) and R / g, a 1 x 1 block the factor R.
+    Every factor is recorded times ``scale``.  The summands' orders are
+    merged into the chain last, each inserted from the top factor down
+    by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).
 
     The tail:
 
@@ -350,10 +371,17 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     >>> invariant_factors([[10, 0], [0, 8]])
     (2, 40)
 
-    No unit modulo 30 and content 1, so ``_split_pivot`` runs:
+    No unit modulo 30 and content 1; each row is a summand, Z/2, Z/3
+    and Z/5, and the merge gives
 
     >>> invariant_factors([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
     (1, 1, 30)
+
+    No unit modulo 1020, content 1 and no summand, so ``_split_pivot``
+    runs:
+
+    >>> invariant_factors([[6, 10, 0], [0, 6, 15], [10, 0, 15]])
+    (1, 2, 1020)
 
     Content 6 modulo 432 is divided out, leaving R = 2:
 
@@ -371,6 +399,7 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     det = r
     block = [[x % r for x in row] for row in a]
     factors = []
+    summands = []  # orders of the cyclic summands split off whole
     scale = 1
     while len(block) > 2:
         g, i, j = _pivot(block, r)
@@ -386,11 +415,21 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
                 del row[j]
             factors.append(scale)
             continue
-        c = gcd(r, *(x for row in block for x in row))
+        c = gcd(r, *map(gcd, *block))
         if c > 1:
             scale *= c
             r //= c ** len(block)
             block = [[x // c % r for x in row] for row in block]
+            continue
+        orders, rows, cols = _cyclic_summands(block, r)
+        if orders:
+            summands += [scale * g for g in orders]
+            r //= prod(orders)
+            block = [
+                [x % r for j, x in enumerate(row) if j not in cols]
+                for i, row in enumerate(block)
+                if i not in rows
+            ]
             continue
         # content 1 makes the block's least factor 1, so the split
         # only has to build a unit pivot, and r stays
@@ -400,8 +439,13 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     if len(block) == 2:
         g = gcd(r, *block[0], *block[1])
         factors += [scale * g, scale * (r // g)]
-    else:
+    elif block:
         factors.append(scale * r)
+    for g in summands:
+        # Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), from the top factor down
+        for t in range(len(factors) - 1, -1, -1):
+            factors[t], g = lcm(factors[t], g), gcd(factors[t], g)
+        factors.insert(0, g)
     if prod(factors) != det or any(y % x for x, y in zip(factors, factors[1:])):
         raise ArithmeticError(f"modular Smith form broke the divisor chain: {factors}")
     return tuple(factors)
@@ -415,7 +459,8 @@ def _pivot(block: Matrix, r: int) -> tuple[int, int, int]:
     entry of least g.  A block that is zero modulo r gives (r, 0, 0);
     for r = 1 that is a unit too, as every entry is modulo 1.  When
     g > 1 the caller divides out the block's content if it exceeds 1,
-    and only otherwise splits at (i, j).
+    else splits off its cyclic summands, and only if it has none
+    splits at (i, j).
     """
     best = (r, 0, 0)
     for i, row in enumerate(block):
@@ -429,16 +474,54 @@ def _pivot(block: Matrix, r: int) -> tuple[int, int, int]:
     return best
 
 
+def _cyclic_summands(block: Matrix, r: int) -> tuple[list[int], set[int], set[int]]:
+    """(orders, rows, cols) of the rows and columns of the block that
+    are direct summands Z/g.
+
+    Row i is one if its one nonzero entry x sits in column j and
+    g = gcd(x, r) divides the rest of column j; column j is one in the
+    same way with rows and columns exchanged.  Modulo r, x is g times a
+    unit, so one row (column) operation per entry clears the rest of
+    column j (row i) and changes nothing else: every summand found in
+    the scan splits off at once, and row i and column j are deleted.
+    Two rows cannot qualify in one column, nor two columns in one row:
+    the cokernel would then have order above r.
+    """
+    k = len(block)
+    orders, rows, cols = [], set(), set()
+    columns = list(zip(*block))
+    # entries lie in [0, r), so a line's one nonzero entry is its maximum
+    for i, row in enumerate(block):
+        if row.count(0) == k - 1:
+            j = row.index(max(row))
+            g = gcd(row[j], r)
+            if gcd(g, *columns[j]) == g:
+                orders.append(g)
+                rows.add(i)
+                cols.add(j)
+    for j, col in enumerate(columns):
+        # a column taken with its row above is the same summand
+        if j not in cols and col.count(0) == k - 1:
+            i = col.index(max(col))
+            g = gcd(col[i], r)
+            if gcd(g, *block[i]) == g:
+                orders.append(g)
+                rows.add(i)
+                cols.add(j)
+    return orders, rows, cols
+
+
 def _split_pivot(block: Matrix, r: int, i: int, j: int) -> None:
     """Split the factor 1 off a block with no unit modulo r.
 
     The fallback of ``invariant_factors``: it runs only on a block of at
-    least three rows whose content gcd(r, entries) is 1, since content
-    above 1 is divided out without it and the last two rows are read
-    off directly.  Moves the pivot at (i, j), the entry with the least
-    gcd to r, to (0, 0), and clears row 0 and column 0 modulo r by gcd
-    row and column mixes until the pivot divides the block.  These
-    mixes keep the content, so the pivot ends as a unit modulo r.
+    least three rows whose content gcd(r, entries) is 1 and which has
+    no row or column that is a cyclic summand, since content above 1
+    and such summands are taken out without it, and the last two rows
+    are read off directly.  Moves the pivot at (i, j), the entry with
+    the least gcd to r, to (0, 0), and clears row 0 and column 0 modulo
+    r by gcd row and column mixes until the pivot divides the block.
+    These mixes keep the content, so the pivot ends as a unit modulo r.
     """
     block[0], block[i] = block[i], block[0]
     if j:

@@ -20,6 +20,7 @@ from spintori import (
     torus_matrix,
     xgcd,
 )
+from spintori import smith
 from spintori.matrices import mat_mul
 
 
@@ -67,6 +68,54 @@ def prime_product_matrices(draw, max_size):
     n = draw(st.integers(2, max_size))
     entry = st.sampled_from((0, 2, -2, 3, -3, 5, -5, 6, -6, 10, -10, 15, -15))
     return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def stale_row_matrices(draw, max_size, bound):
+    """Square matrices on which the lazily scaled determinant meets
+    stale rows: rows that stay 0 across several pivot columns and are
+    eliminated later, and diagonal entries still 0 at their step, which
+    force a swap, often with such a row.  About a third are made
+    singular as in ``square_matrices``.  Entries are not only units, so
+    pivots differ from step to step."""
+    n = draw(st.integers(3, max_size))
+    entry = st.integers(-bound, bound)
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(1, n):
+        lead = draw(st.integers(0, n - 1))
+        m[i][:lead] = [0] * lead
+    for k in draw(st.sets(st.integers(1, n - 2), max_size=2)):
+        # column k is 0 in rows 0..k, so (k, k) is still 0 at step k
+        for row in m[: k + 1]:
+            row[k] = 0
+    if draw(st.integers(0, 2)) == 0:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)]
+    return m
+
+
+@st.composite
+def block_diagonal_matrices(draw, max_blocks):
+    """Block-diagonal matrices of 2 to max_blocks blocks of size 1 to 3,
+    with entries 0 or products of distinct primes among 2, 3 and 5, and
+    rows and columns then permuted.  Rows and columns with one nonzero
+    entry are common; whether one is a cyclic summand depends on what
+    else its column or row holds."""
+    entry = st.sampled_from((0, 0, 2, -2, 3, -3, 5, 6, -6, 10, 15, -15, 30))
+    blocks = []
+    for _ in range(draw(st.integers(2, max_blocks))):
+        k = draw(st.integers(1, 3))
+        blocks.append(draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)))
+    n = sum(len(b) for b in blocks)
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at : at + len(row)] = row
+        at += len(b)
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return [[m[i][j] for j in cols] for i in rows]
 
 
 def snf_nonzero_diagonal(m):
@@ -128,6 +177,19 @@ class TestDeterminant:
             n = rng.randint(1, 4)
             m = random_matrix(rng, n, n, 6)
             assert determinant(m) == cofactor_det(m)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(stale_row_matrices(max_size=6, bound=9))
+    def test_stale_rows_match_cofactor_expansion(self, m):
+        assert determinant(m) == cofactor_det(m)
+
+    def test_swap_with_a_stale_row(self):
+        # row 2 is 0 in column 0, so step 0 leaves it at the pivot 1
+        # while rows 1 and 3 move to -4; row 1 is then 0 in column 1,
+        # and the swap makes stale row 2 the pivot row against which
+        # row 3 is eliminated
+        m = [[-4, 0, 2, -1], [-3, 0, 0, 1], [0, 1, 0, 0], [1, 4, 0, 0]]
+        assert determinant(m) == cofactor_det(m) == -2
 
     def test_multiplicativity(self):
         rng = random.Random(17)
@@ -238,12 +300,50 @@ class TestModularInvariantFactors:
         assert invariant_factors(m) == snf_nonzero_diagonal(m)
 
     def test_frozen_examples(self):
-        # [[6, 0, 0], ...] has no unit modulo its determinant, so it
-        # takes the gcd-mix path and folds rows into the pivot
+        # [[6, 0, 0], ...] has no unit modulo its determinant and
+        # content 1; each of its rows splits off as a cyclic summand
         assert invariant_factors([[1]]) == (1,)
         assert invariant_factors([[2, 1], [1, 1]]) == (1, 1)
         assert invariant_factors([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
         assert invariant_factors([[-4]]) == (4,)
+
+    def test_summands_split_off_without_split_pivot(self, monkeypatch):
+        # units clear the first two rows; the block diag(6, 10, 15) left
+        # modulo 900 has no unit and content 1, and every row of it is a
+        # cyclic summand
+        def refuse(*args):
+            raise AssertionError("_split_pivot ran")
+
+        monkeypatch.setattr(smith, "_split_pivot", refuse)
+        m = [
+            [1, 0, 6, 0, 0],
+            [0, 1, 0, 10, 0],
+            [0, 0, 6, 0, 0],
+            [0, 0, 0, 10, 0],
+            [0, 0, 0, 0, 15],
+        ]
+        assert invariant_factors(m) == snf_nonzero_diagonal(m) == (1, 1, 1, 30, 30)
+        assert invariant_factors([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == (1, 1, 30)
+
+    def test_block_without_summand_reaches_split_pivot(self, monkeypatch):
+        # every row and column has two nonzero entries, so no summand
+        # splits off and the gcd mixes still run
+        calls = []
+        split_pivot = smith._split_pivot
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            split_pivot(*args)
+
+        monkeypatch.setattr(smith, "_split_pivot", counted)
+        m = [[6, 10, 0], [0, 6, 15], [10, 0, 15]]
+        assert invariant_factors(m) == snf_nonzero_diagonal(m) == (1, 2, 1020)
+        assert calls == [3]
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(block_diagonal_matrices(max_blocks=4))
+    def test_block_diagonal_matches_witness_path(self, m):
+        assert invariant_factors(m) == snf_nonzero_diagonal(m)
 
     # The named worst cases of the benchmark's growth workload, and the
     # l = 10 class whose exact Smith form did not finish at q = 2^61 - 1.

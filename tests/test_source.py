@@ -147,3 +147,29 @@ def test_benchmark_makes_the_library_checks():
                     assert all(c.ok for c in made), case.id
                     pairs += 1
     assert pairs == 884
+
+
+def test_smith_routes_stay_apart():
+    # the closed form (tori, permutations) and the Smith form share no
+    # code, and determinant is a cross-check of the elimination, so it
+    # calls nothing else in smith.py
+    path = Path(spintori.__file__).parent / "smith.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "matrices.mat_mul" in imported
+    shared = [m for m in imported if {"tori", "permutations"} & set(m.split("."))]
+    assert shared == []
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"determinant", "invariant_factors", "xgcd"} <= set(functions)
+    called = {
+        call.func.id
+        for call in ast.walk(functions["determinant"])
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+    assert "range" in called
+    assert called & set(functions) == set()
