@@ -49,24 +49,28 @@ class MatrixFormatError(ValueError):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a b, each row formed as a sum of rows of b.
+    """The product a b, over the nonzeros of both factors.
 
-    Row i of the product is the sum of a[i][k] * b[k] over k; a zero
-    entry of a contributes nothing and is skipped, so a sparse factor
-    (a permutation or basis-change matrix) costs only its nonzeros.
+    Each row of b is listed once as its (column, value) nonzeros; row i
+    of the product adds a[i][k] * y only there, for each nonzero a[i][k],
+    so a sparse factor costs only its nonzeros.  Rows may be tuples.
+    Every row of a needs len(b) entries, every row of b the same number.
 
     >>> mat_mul([[0, 2], [1, 0]], [[1, 2, 3], [4, 5, 6]])
     [[8, 10, 12], [1, 2, 3]]
     """
-    if not a or not b or len(a[0]) != len(b):
+    k = len(b)
+    if not a or not k or any(len(row) != k for row in a) or len({len(row) for row in b}) != 1:
         raise ValueError("shape mismatch in matrix product")
     cols = len(b[0])
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
         acc = [0] * cols
-        for x, brow in zip(row, b):
+        for x, terms in zip(row, nonzeros):
             if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
+                for j, y in terms:
+                    acc[j] += x * y
         out.append(acc)
     return out
 
@@ -354,15 +358,13 @@ def parse_matrix_text(text: str) -> Matrix:
     if len(body) != rows * cols:
         raise MatrixFormatError(f"expected {rows * cols} entries, got {len(body)}")
     try:
-        flat = [int(tok) for tok in body]
+        flat = list(map(int, body))
     except ValueError:
         raise MatrixFormatError("non-integer entry") from None
     return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
 def format_matrix_text(m: Matrix) -> str:
-    rows, cols = len(m), len(m[0])
-    lines = [f"{rows} {cols}"]
-    for row in m:
-        lines.append(" ".join(str(x) for x in row))
+    lines = [f"{len(m)} {len(m[0])}"]
+    lines += [" ".join(map(str, row)) for row in m]
     return "\n".join(lines) + "\n"

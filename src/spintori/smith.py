@@ -2,15 +2,16 @@
 
 ``smith_normal_form`` is the witness path: it diagonalizes an integer
 matrix A as P A Q = D with unimodular P, Q and d1 | d2 | ... >= 0 on
-the diagonal.  The witnesses are maintained through every elementary
-step, so the result can always be re-verified by multiplication;
-``SnfResult.verify`` does exactly that.  It works over Z, but first
-brings A to row Hermite form H = U A, with the entries above each
-pivot reduced modulo that pivot (Kannan & Bachem, SIAM J. Comput.
-8(4), 1979), and diagonalizes H with P started at U.  On every lattice
-matrix of degree l <= 9 at q = 25, and on the l = 10 class
-3,-2,-2,-2,-1 at q = 2^61 - 1, no entry of P or Q has more than
-4 bits(|det A|) + 64 bits; the tests hold it to that bound.
+the diagonal.  It works over Z, but first brings A to row Hermite form
+H = U A, with the entries above each pivot reduced modulo that pivot
+(Kannan & Bachem, SIAM J. Comput. 8(4), 1979), and diagonalizes H with
+P started at U.  Row i of D and of P are one list [D_i | P_i] and Q is
+kept by columns, so each elementary step is one list build.
+``SnfResult.verify`` checks the whole certificate: D diagonal with a
+divisor chain, P A Q = D by a product over nonzeros, |det P| = |det Q|
+= 1.  On every lattice matrix of degree l <= 9 at q = 25, and on the
+l = 10 class 3,-2,-2,-2,-1 at q = 2^61 - 1, no entry of P or Q has more
+than 4 bits(|det A|) + 64 bits; the tests hold it to that bound.
 
 ``invariant_factors`` is the invariants-only path.  For a nonsingular
 square A it works modulo R, a divisor of D = |det A|, and never keeps
@@ -140,52 +141,28 @@ class SnfResult:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
 
     def verify(self, a: Matrix) -> bool:
-        return mat_mul(mat_mul(self.p, a), self.q) == self.d
+        """True if d is diagonal, its diagonal a nonnegative divisor chain
+        with zeros only at the end, p a q == d and |det p| = |det q| = 1;
+        as det p det a det q = det d, a square a with |det a| = |det d| > 0
+        proves the last.  For a with no columns q is [], the 0 x 0 identity."""
+        if not a:
+            raise ValueError("empty matrix")
+        d, p, q, diag = self.d, self.p, self.q, self.diagonal
+        if len(q) != len(a[0]) or any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(d)):
+            return False
+        if any(x < 0 for x in diag) or any(y % x if x else y for x, y in zip(diag, diag[1:])):
+            return False
+        pa = mat_mul(p, a)
+        if (mat_mul(pa, q) if q else pa) != d:
+            return False
+        if len(a) == len(q) and (det := prod(diag)) and abs(determinant(a)) == det:
+            return True
+        return abs(determinant(p)) == 1 and (not q or abs(determinant(q)) == 1)
 
 
-def _swap_rows(d, p, i, j):
-    d[i], d[j] = d[j], d[i]
-    p[i], p[j] = p[j], p[i]
-
-
-def _swap_cols(d, q, i, j):
-    for row in d:
-        row[i], row[j] = row[j], row[i]
-    for row in q:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(d, p, i, j, f):
-    # row_i += f * row_j
-    d[i] = [x + f * y for x, y in zip(d[i], d[j])]
-    p[i] = [x + f * y for x, y in zip(p[i], p[j])]
-
-
-def _add_col(d, q, i, j, f):
-    # col_i += f * col_j
-    for row in d:
-        row[i] += f * row[j]
-    for row in q:
-        row[i] += f * row[j]
-
-
-def _negate_row(d, p, i):
-    d[i] = [-x for x in d[i]]
-    p[i] = [-x for x in p[i]]
-
-
-def _mix_rows(d, p, i, j, x, y, u, v):
-    # (row_i, row_j) <- (x row_i + y row_j, u row_i + v row_j); x v - y u = +-1
-    di, dj = d[i], d[j]
-    d[i] = [x * a + y * b for a, b in zip(di, dj)]
-    d[j] = [u * a + v * b for a, b in zip(di, dj)]
-    pi, pj = p[i], p[j]
-    p[i] = [x * a + y * b for a, b in zip(pi, pj)]
-    p[j] = [u * a + v * b for a, b in zip(pi, pj)]
-
-
-def _hermite(h: Matrix, u: Matrix) -> None:
-    """Row Hermite form H = U A in place, every row operation applied to u too.
+def _hermite(rows: Matrix, n: int) -> None:
+    """Row Hermite form H = U A in place, on rows [H_i | U_i] whose first
+    n entries are H's, so each row operation is one list build.
 
     Columns are taken left to right in row echelon order; a column with
     no nonzero entry from the current row down has no pivot and is
@@ -196,29 +173,33 @@ def _hermite(h: Matrix, u: Matrix) -> None:
     positive.  Then the entries above each pivot are reduced into
     [0, pivot) (Kannan & Bachem, SIAM J. Comput. 8(4), 1979).
     """
-    m, n = len(h), len(h[0])
+    m = len(rows)
     pivots = []
     for j in range(n):
         r = len(pivots)
         if r == m:
             break
-        rows = [(abs(h[i][j]), i) for i in range(r, m) if h[i][j]]
-        if not rows:
+        col = [(abs(rows[i][j]), i) for i in range(r, m) if rows[i][j]]
+        if not col:
             continue
-        least = min(rows)[1]
-        if least != r:
-            _swap_rows(h, u, r, least)
+        least = min(col)[1]
+        rows[r], rows[least] = rows[least], rows[r]
         for i in range(r + 1, m):
-            a, b = h[r][j], h[i][j]
+            top, row = rows[r], rows[i]
+            a, b = top[j], row[j]
             if not b:
                 continue
             if b % a == 0:
-                _add_row(h, u, i, r, -(b // a))
+                f = b // a
+                rows[i] = [t - f * s for s, t in zip(top, row)]
             else:
+                # (top, row) <- (x top + y row, u top + v row), x v - y u = 1
                 g, x, y = xgcd(a, b)
-                _mix_rows(h, u, r, i, x, y, -(b // g), a // g)
-        if h[r][j] < 0:
-            _negate_row(h, u, r)
+                u, v = -(b // g), a // g
+                rows[r] = [x * s + y * t for s, t in zip(top, row)]
+                rows[i] = [u * s + v * t for s, t in zip(top, row)]
+        if rows[r][j] < 0:
+            rows[r] = [-s for s in rows[r]]
         pivots.append(j)
     # Reduce from the bottom row up, so each row is reduced against rows
     # that are already reduced and sparse: on a chain of unit pivots that
@@ -228,31 +209,36 @@ def _hermite(h: Matrix, u: Matrix) -> None:
     for i in range(len(pivots) - 2, -1, -1):
         for r in range(i + 1, len(pivots)):
             j = pivots[r]
-            f = h[i][j] // h[r][j]
+            f = rows[i][j] // rows[r][j]
             if f:
-                _add_row(h, u, i, r, -f)
+                rows[i] = [s - f * t for s, t in zip(rows[i], rows[r])]
 
 
-def _least_entry(d: Matrix, t: int) -> tuple[int, int] | None:
-    """Position of the least nonzero |entry| of d[t:][t:], row-major
-    among ties; the scan stops at the first unit, which nothing beats."""
-    best = None
-    for i in range(t, len(d)):
-        for j, x in enumerate(d[i][t:], t):
-            v = abs(x)
-            if v and (best is None or v < best[0]):
-                if v == 1:
+def _least_entry(rows: Matrix, t: int, n: int) -> tuple[int, int] | None:
+    """Position of the least nonzero |entry| of rows[t:] in columns t to
+    n - 1, row-major among ties; the scan stops at the first unit."""
+    least, at = 0, None
+    for i in range(t, len(rows)):
+        row = rows[i]
+        for j in range(t, n):
+            x = row[j]
+            if x and (not least or abs(x) < least):
+                if x == 1 or x == -1:
                     return i, j
-                best = (v, i, j)
-    return best and best[1:]
+                least, at = abs(x), (i, j)
+    return at
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:
     """P A Q = D with d1 | d2 | ..., all diagonal entries >= 0.
 
-    A is first brought to row Hermite form H = U A, and P starts at U.
-    Then H is diagonalized deterministically: the pivot is the least
-    |entry| in the working submatrix, row-major among ties.
+    Row i of D and row i of P are one list [D_i | P_i], so a row swap,
+    add, negation or gcd mix is one list build; Q is kept by columns,
+    so a column add on Q is one list build and a column swap an O(1)
+    swap, while D's columns change in place.  A is first brought to row
+    Hermite form H = U A, and P starts at U.  Then H is diagonalized
+    deterministically: the pivot is the least |entry| in the working
+    submatrix, row-major among ties.
 
     >>> smith_normal_form([[2, 1], [0, 2]]).diagonal
     (1, 4)
@@ -266,48 +252,54 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     m, n = len(a), len(a[0])
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
-    d = [row[:] for row in a]
-    p = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _hermite(d, p)
+    rows = [[*row, *[0] * i, 1, *[0] * (m - 1 - i)] for i, row in enumerate(a)]
+    qt = [[*[0] * j, 1, *[0] * (n - 1 - j)] for j in range(n)]  # Q by columns
+    _hermite(rows, n)
 
     rank = 0
     for t in range(min(m, n)):
-        best = _least_entry(d, t)
+        best = _least_entry(rows, t, n)
         if best is None:
             break
         bi, bj = best
-        if bi != t:
-            _swap_rows(d, p, t, bi)
+        rows[t], rows[bi] = rows[bi], rows[t]
         if bj != t:
-            _swap_cols(d, q, t, bj)
+            for row in rows[t:]:  # the rows above are zero from column t on
+                row[t], row[bj] = row[bj], row[t]
+            qt[t], qt[bj] = qt[bj], qt[t]
         while True:
             moved = False
             for i in range(t + 1, m):
-                if d[i][t] == 0:
+                row, top = rows[i], rows[t]
+                if row[t] == 0:
                     continue
-                f = d[i][t] // d[t][t]
+                f = row[t] // top[t]
                 if f:
-                    _add_row(d, p, i, t, -f)
-                if d[i][t]:
+                    rows[i] = row = [x - f * y for x, y in zip(row, top)]
+                if row[t]:
                     # remainder beats the pivot; promote it
-                    _swap_rows(d, p, i, t)
+                    rows[t], rows[i] = row, top
                     moved = True
             if moved:
                 continue
             # column t is zero off the pivot until a swap, so until then
             # a column operation changes only row t of d
-            rows = [d[t]]
+            top = rows[t]
+            touched = [top]
             for j in range(t + 1, n):
-                if d[t][j] == 0:
+                if top[j] == 0:
                     continue
-                f = d[t][j] // d[t][t]
+                f = top[j] // top[t]
                 if f:
-                    _add_col(rows, q, j, t, -f)
-                if d[t][j]:
-                    _swap_cols(d, q, j, t)
+                    for row in touched:
+                        row[j] -= f * row[t]
+                    qt[j] = [x - f * y for x, y in zip(qt[j], qt[t])]
+                if top[j]:
+                    touched = rows[t:]
+                    for row in touched:
+                        row[t], row[j] = row[j], row[t]
+                    qt[t], qt[j] = qt[j], qt[t]
                     moved = True
-                    rows = d
             if not moved:
                 break
         rank = t + 1
@@ -317,22 +309,28 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     while changed:
         changed = False
         for i in range(rank - 1):
-            di, dj = d[i][i], d[i + 1][i + 1]
+            j = i + 1
+            ri, rj = rows[i], rows[j]
+            di, dj = ri[i], rj[j]
             if dj % di == 0:
                 continue
             changed = True
-            j = i + 1
-            _add_col(d, q, i, j, 1)  # makes d[j][i] = dj
+            rj[i] = dj  # column i += column j, as d is diagonal
+            qt[i] = [s + t for s, t in zip(qt[i], qt[j])]
             g, x, y = xgcd(di, dj)
-            _mix_rows(d, p, i, j, x, y, -(dj // g), di // g)
-            # clear the leftover d[i][j] = y * dj against the new pivot g
-            _add_col(d, q, j, i, -(y * (dj // g)))
+            u, v = -(dj // g), di // g
+            rows[i] = [x * s + y * t for s, t in zip(ri, rj)]
+            rows[j] = [u * s + v * t for s, t in zip(ri, rj)]
+            # column j -= f column i clears d[i][j] = f g against d[i][i] = g
+            f = y * (dj // g)
+            rows[i][j] = 0
+            qt[j] = [s - f * t for s, t in zip(qt[j], qt[i])]
 
     for i in range(rank):
-        if d[i][i] < 0:
-            _negate_row(d, p, i)
+        if rows[i][i] < 0:
+            rows[i] = [-s for s in rows[i]]
 
-    return SnfResult(d, p, q)
+    return SnfResult([r[:n] for r in rows], [r[n:] for r in rows], list(map(list, zip(*qt))))
 
 
 def invariant_factors(a: Matrix) -> tuple[int, ...]:

@@ -117,15 +117,24 @@ field_sizes = st.one_of(
 
 @st.composite
 def matrix_pairs(draw, max_size=7):
-    n, k, m = (draw(st.integers(1, max_size)) for _ in range(3))
+    """Factors a (n x k) and b (k x m); a dimension is 1 about half the
+    time, so 1 x k and k x 1 shapes are common.  Some rows and columns
+    of each factor are zero, and each factor's rows may be tuples."""
+    size = st.one_of(st.just(1), st.integers(1, max_size))
+    n, k, m = (draw(size) for _ in range(3))
     entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**100), 2**100))
     a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
     b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
-    for i in draw(st.sets(st.integers(0, n - 1))):
-        a[i] = [0] * k
-    for j in draw(st.sets(st.integers(0, m - 1))):
-        for row in b:
-            row[j] = 0
+    for mat, rows, cols in ((a, n, k), (b, k, m)):
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            mat[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1))):
+            for row in mat:
+                row[j] = 0
+    if draw(st.booleans()):
+        a = [tuple(row) for row in a]
+    if draw(st.booleans()):
+        b = [tuple(row) for row in b]
     return a, b
 
 
@@ -174,6 +183,11 @@ class TestMatMul:
             mat_mul([], [[1, 2]])
         with pytest.raises(ValueError):
             mat_mul([[]], [])
+        # ragged factors: zip would truncate to [[5], [3]] and [[7]]
+        with pytest.raises(ValueError):
+            mat_mul([[1, 2], [3]], [[1], [2]])
+        with pytest.raises(ValueError):
+            mat_mul([[1, 2]], [[1, 2], [3]])
 
 
 class TestDirectWeightAction:
@@ -335,6 +349,10 @@ class TestBlockReduction:
 class TestMatrixText:
     def test_round_trip(self):
         m = [[1, -2, 3], [0, 5, -6]]
+        assert parse_matrix_text(format_matrix_text(m)) == m
+        big = 7 * 10**399 + 12345
+        m = [[-big, 0], [big, -1], [3, -(10**399)]]
+        assert len(str(big)) == 400
         assert parse_matrix_text(format_matrix_text(m)) == m
 
     def test_parse_accepts_any_whitespace_layout(self):

@@ -285,6 +285,76 @@ class TestSmithNormalForm:
             assert bits <= 4 * abs(determinant(m)).bit_length() + 64, (cls.literal(), q)
 
 
+    def test_verify_rejects_a_diagonal_that_is_no_chain(self):
+        # p a q == d holds with p = q = I, but d is not in Smith form:
+        # 2 does not divide 3, a zero before a nonzero, an entry off the
+        # diagonal, a negative entry
+        eye = [[1, 0], [0, 1]]
+        for d in ([[2, 0], [0, 3]], [[0, 0], [0, 2]], [[1, 1], [0, 2]], [[-1, 0], [0, 2]]):
+            assert mat_mul(mat_mul(eye, d), eye) == d
+            assert not smith.SnfResult(d, eye, eye).verify(d)
+
+    def test_verify_rejects_a_witness_that_is_not_unimodular(self):
+        # p a q == d and d = diag(2, 4) is a chain, but det p = 2
+        eye = [[1, 0], [0, 1]]
+        a, p, d = [[2, 0], [0, 2]], [[1, 0], [0, 2]], [[2, 0], [0, 4]]
+        assert mat_mul(mat_mul(p, a), eye) == d
+        assert not smith.SnfResult(d, p, eye).verify(a)
+        # a singular a, with det q = 2
+        a, q, d = [[2, 0], [0, 0]], [[1, 0], [0, 2]], [[2, 0], [0, 0]]
+        assert mat_mul(mat_mul(eye, a), q) == d
+        assert not smith.SnfResult(d, eye, q).verify(a)
+        # a non-square a, with det p = -3
+        a, p, d = [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, -3]], [[1, 0, 0], [0, 3, 0]]
+        q = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+        assert mat_mul(mat_mul(p, a), q) == d
+        assert not smith.SnfResult(d, p, q).verify(a)
+
+    def test_verify_without_columns(self):
+        # a 1 x 0 or 2 x 0 matrix has q = [], the 0 x 0 identity
+        for a in ([[]], [[], []]):
+            res = smith_normal_form(a)
+            assert res.q == [] and res.diagonal == ()
+            assert res.verify(a)
+        assert not smith.SnfResult([[]], [[2]], []).verify([[]])
+        with pytest.raises(ValueError):
+            res.verify([])
+
+    def test_witnesses_are_unchanged(self):
+        # recorded before D and P were kept as one row and Q by columns;
+        # a change here is a change of the elimination steps, not of speed
+        assert witness_digest() == (
+            "e6cf1659fd4dc8d0c53a319b5b5454f10ffaaf6f1dba33fc588d9bd739707bf3"
+        )
+
+
+def witness_digest():
+    """SHA-256 of repr((d, p, q)) from ``smith_normal_form`` of every
+    lattice matrix with l <= 9 at q = 25, both forms, and of 300 seeded
+    random matrices with most entries 0: square, rectangular, and
+    square with the last row a combination of the others."""
+    mats = [
+        torus_matrix(cls, 25)
+        for l in range(2, 10)
+        for form in (FORM_PLUS, FORM_MINUS)
+        for cls in enumerate_classes(l, form)
+    ]
+    rng = random.Random(53)
+    for k in range(300):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7) if k % 3 == 1 else rows
+        m = [[rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 2 and rows > 1:
+            coeffs = [rng.randint(-3, 3) for _ in range(rows - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols)]
+        mats.append(m)
+    h = hashlib.sha256()
+    for m in mats:
+        res = smith_normal_form(m)
+        h.update(repr((res.d, res.p, res.q)).encode())
+    return h.hexdigest()
+
+
 class TestModularInvariantFactors:
     """``invariant_factors`` works modulo |det|; the witness path works
     over Z.  Both must give the same invariant factors."""

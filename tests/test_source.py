@@ -173,3 +173,25 @@ def test_smith_routes_stay_apart():
     }
     assert "range" in called
     assert called & set(functions) == set()
+
+
+
+def test_mat_mul_has_one_library_caller():
+    # the check matrices are built without a generic product, as the
+    # ``matrices.py`` docstring says, so the certificate is the one caller
+    callers = set()
+    for path in SOURCE_FILES:
+        stack = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
+        while stack:
+            scope, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+                    stack.append((inner, child))
+                else:
+                    stack.append((scope, child))
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", None) == "mat_mul" or getattr(f, "attr", None) == "mat_mul":
+                    callers.add(f"{path.name}:{scope}")
+    assert callers == {"smith.py:SnfResult.verify"}
