@@ -20,15 +20,14 @@ a small matrix with the same nontrivial invariant factors.
 
 Each check matrix is built in one pass, with no generic matrix product
 and no intermediate matrix, and the weight action W in one place only,
-``_doubled_action_rows``.  ``mat_mul``, the one generic product, is
+``_action_rows``: row i of q W is at most two constant runs and two
+tail entries, read off the images w(i) and w(i+1) and written by list
+repetition, with no arithmetic on each entry.  ``weight_action_matrix``
+is that builder at q = 1.  ``mat_mul``, the one generic product, is
 left for ``SnfResult.verify``.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache, reduce
-from operator import or_
-from typing import Iterator
 
 from .permutations import (
     SignedCycleType,
@@ -99,25 +98,6 @@ def transition_matrix(l: int) -> Matrix:
     return rows
 
 
-@lru_cache(maxsize=64)
-def doubled_inverse_transition(l: int) -> tuple[tuple[int, ...], ...]:
-    """Twice the inverse of ``transition_matrix(l)``, which is integral.
-
-    It depends on l alone, so each degree's basis is built once and
-    kept as a tuple of tuples.
-
-    >>> doubled_inverse_transition(2)
-    ((1, 1), (-1, 1))
-    >>> mat_mul(transition_matrix(3), doubled_inverse_transition(3))
-    [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
-    """
-    if l < 2:
-        raise ValueError("need at least two coordinates")
-    twos = (2,) * (l - 2)
-    rows = tuple((0,) * i + twos[i:] + (1, 1) for i in range(l - 1))
-    return rows + ((0,) * (l - 2) + (-1, 1),)
-
-
 def permutation_matrix(images: tuple[int, ...]) -> Matrix:
     """Row i carries sign(w(i)) in column |w(i)|, for the element w
     with these images of 1..l.  A homomorphism for the left-to-right
@@ -134,40 +114,51 @@ def permutation_matrix(images: tuple[int, ...]) -> Matrix:
     return m
 
 
-def _doubled_action_rows(images: tuple[int, ...]) -> Iterator[list[int]]:
-    """Each row of 2W = S R N, a new list, for the element with these
-    images; N = ``doubled_inverse_transition``.  Row k of R N is
-    sign(w(k)) N[|w(k)|], and row i of S takes the difference of rows i
-    and i+1 (the sum of the last two for the last simple root).  W is
-    integral, since the action preserves the weight lattice, so an odd
-    entry is an ArithmeticError.
+def _action_rows(images: tuple[int, ...], q: int) -> Matrix:
+    """Rows of q W, W the element's matrix on the fundamental-weight
+    basis, each a new list built from slices with no product.
+
+    2W = S R N, with S = ``transition_matrix``, R the signed
+    permutation and N = 2 S^-1: row k < l - 1 of N is 2 on columns k to
+    l - 3 and (1, 1) on the last two, and row l - 1 is (0, ..., -1, 1).
+    So row i of 2W is sign(w(i)) N[|w(i)|] - sign(w(i+1)) N[|w(i+1)|],
+    the sum for the last row.  Halved and times q, that is one side's
+    +-q from the lower run start to the higher, their sum from there to
+    column l - 3, and half the sum of the two tails, which is exact as
+    each tail entry is +-q.
     """
-    n = doubled_inverse_transition(len(images))
-    rn = [n[x - 1] if x > 0 else [-v for v in n[-x - 1]] for x in images]
-    rows = [[x - y for x, y in zip(a, b)] for a, b in zip(rn, rn[1:])]
-    rows.append([x + y for x, y in zip(rn[-2], rn[-1])])
-    for row in rows:
-        if reduce(or_, row) & 1:
-            raise ArithmeticError("entry not even; lattice bookkeeping broken")
-        yield row
+    l = len(images)
+    if l < 2:
+        raise ValueError("need at least two coordinates")
+    body = l - 2
+    lines = []  # row k of q R N / 2: run start, run value, then the tail pair not halved
+    for x in images:
+        s = q if x > 0 else -q
+        lines.append((body, s, -s, s) if abs(x) == l else (abs(x) - 1, s, s, s))
+    pairs = [(p, (b, -v, -s0, -s1)) for p, (b, v, s0, s1) in zip(lines, lines[1:])]
+    pairs.append((lines[-2], lines[-1]))
+    rows = []
+    for (a, u, t0, t1), (b, v, s0, s1) in pairs:
+        if a > b:
+            a, b, u, v = b, a, v, u
+        rows.append([0] * a + [u] * (b - a) + [u + v] * (body - b) + [(t0 + s0) >> 1, (t1 + s1) >> 1])
+    return rows
 
 
 def weight_action_matrix(images: tuple[int, ...]) -> Matrix:
     """The element's matrix on the fundamental-weight basis: S R S^-1,
     with S = ``transition_matrix`` and R = ``permutation_matrix(images)``,
-    built row by row in O(l^2) with no matrix product: each row of
-    ``_doubled_action_rows`` halved.
+    built row by row in O(l^2) with no matrix product.
 
     >>> weight_action_matrix((2, 1, 3))
     [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]
     """
-    return [[x >> 1 for x in row] for row in _doubled_action_rows(images)]
+    return _action_rows(images, 1)
 
 
 def torus_matrix(tau, q: int) -> Matrix:
-    """q * (weight action of the representative) - E, in one pass over
-    the doubled action rows: each entry is q * (x >> 1), less 1 on the
-    diagonal.
+    """q * (weight action of the representative) - E, in one pass: the
+    rows of q W come from ``_action_rows``, less 1 on the diagonal.
 
     Works uniformly for both forms: an even class feeds the untwisted
     endomorphism; an odd class's representative is odd, which absorbs
@@ -184,11 +175,9 @@ def torus_matrix(tau, q: int) -> Matrix:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     if cls.ctype.degree < 2:
         raise ValueError("torus matrices need degree >= 2")
-    out = []
-    for i, row in enumerate(_doubled_action_rows(representative(cls))):
-        row = [q * (x >> 1) for x in row]
+    out = _action_rows(representative(cls), q)
+    for i, row in enumerate(out):
         row[i] -= 1
-        out.append(row)
     return out
 
 

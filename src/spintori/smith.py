@@ -26,12 +26,14 @@ operation, and every later factor is multiplied by c.  In a block of
 content 1 and no unit, a row whose one nonzero entry x has
 g = gcd(x, R) dividing the rest of its column is a cyclic summand
 Z/g, and so is such a column: it is deleted, R is divided by g, and
-the summand's order is merged into the factor chain at the end.  Only
-when no row or column splits off is the block split by gcd row and
-column operations (``_split_pivot``), which leave a unit pivot.  The
-last two rows are read off directly: a 2 x 2 block has the factors
-g = gcd(R, entries) and R / g, a 1 x 1 block the factor R.  Singular
-and non-square input, the only kind with a free part, goes through the
+the summand's order is merged into the factor chain at the end.  A
+block with no summand is stabilized (Storjohann, PhD thesis, ETH
+Zurich, 2000): one column combination and one row combination put a
+unit at (0, 0) (``_stabilize``), and a unit step follows.  The last
+three rows are read off their determinantal divisors (Newman,
+Integral Matrices, 1972): d1 = gcd(R, entries) and d2 = gcd(R, 2 x 2
+minors) give the factors d1, d2 / d1 and R / d2.  Singular and
+non-square input, the only kind with a free part, goes through the
 witness path.
 
 ``determinant`` is an independent fraction-free elimination, kept
@@ -351,11 +353,14 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     (x / c) mod R.  That costs no row or column operation.  A block of
     content 1 and no unit next gives up its cyclic summands
     (``_cyclic_summands``): each is deleted with its row and column, its
-    order g is recorded times ``scale``, and R becomes R / g.  Only a
-    block with none goes to ``_split_pivot``, which builds a unit pivot
-    by gcd row and column mixes and so splits off the factor 1.  The
-    loop stops at two rows: a 2 x 2 block has the factors
-    g = gcd(R, its entries) and R / g, a 1 x 1 block the factor R.
+    order g is recorded times ``scale``, and R becomes R / g.  A block
+    with none is stabilized (``_stabilize``): a column combination and
+    a row combination put a unit at (0, 0), and a unit step follows.
+    The loop stops at three rows, whose factors are read off the
+    determinantal divisors (Newman, Integral Matrices, 1972): with
+    d1 = gcd(R, entries) and d2 = gcd(R, the nine 2 x 2 minors) they
+    are d1, d2 / d1 and R / d2, as the cokernel has order R.  A 2 x 2
+    block has the factors d1 and R / d1, a 1 x 1 block the factor R.
     Every factor is recorded times ``scale``.  The summands' orders are
     merged into the chain last, each inserted from the top factor down
     by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).
@@ -364,27 +369,27 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
 
     >>> invariant_factors([[2, 0], [0, 3]])
     (1, 6)
-    >>> invariant_factors([[2, 1], [0, 2]])
-    (1, 4)
     >>> invariant_factors([[10, 0], [0, 8]])
     (2, 40)
-
-    No unit modulo 30 and content 1; each row is a summand, Z/2, Z/3
-    and Z/5, and the merge gives
-
-    >>> invariant_factors([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
-    (1, 1, 30)
-
-    No unit modulo 1020, content 1 and no summand, so ``_split_pivot``
-    runs:
-
     >>> invariant_factors([[6, 10, 0], [0, 6, 15], [10, 0, 15]])
     (1, 2, 1020)
 
-    Content 6 modulo 432 is divided out, leaving R = 2:
+    No unit modulo 210 and content 1; each row is a summand, Z/2, Z/3,
+    Z/5 and Z/7, and the merge gives
 
-    >>> invariant_factors([[6, 0, 0], [0, 6, 0], [0, 0, 12]])
-    (6, 6, 12)
+    >>> invariant_factors([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
+    (1, 1, 1, 210)
+
+    No unit modulo 21204, content 1 and no summand, so ``_stabilize``
+    runs:
+
+    >>> invariant_factors([[6, 10, 0, 0], [0, 6, 15, 0], [0, 0, 6, 10], [15, 0, 0, 6]])
+    (1, 1, 6, 3534)
+
+    Content 6 modulo 6^4 * 2 is divided out, leaving R = 2:
+
+    >>> invariant_factors([[6, 0, 0, 0], [0, 6, 0, 0], [0, 0, 6, 0], [0, 0, 0, 12]])
+    (6, 6, 6, 12)
 
     Singular input takes the witness path:
 
@@ -399,42 +404,49 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     factors = []
     summands = []  # orders of the cyclic summands split off whole
     scale = 1
-    while len(block) > 2:
-        g, i, j = _pivot(block, r)
-        if g == 1:
-            top = block.pop(i)
-            inv = pow(top[j], -1, r)
-            nonzero = [(c, y) for c, y in enumerate(top) if y]
-            for row in block:
-                f = row[j] * inv % r
-                if f:
-                    for c, y in nonzero:
-                        row[c] = (row[c] - f * y) % r
-                del row[j]
-            factors.append(scale)
-            continue
-        c = gcd(r, *map(gcd, *block))
-        if c > 1:
-            scale *= c
-            r //= c ** len(block)
-            block = [[x // c % r for x in row] for row in block]
-            continue
-        orders, rows, cols = _cyclic_summands(block, r)
-        if orders:
-            summands += [scale * g for g in orders]
-            r //= prod(orders)
-            block = [
-                [x % r for j, x in enumerate(row) if j not in cols]
-                for i, row in enumerate(block)
-                if i not in rows
-            ]
-            continue
-        # content 1 makes the block's least factor 1, so the split
-        # only has to build a unit pivot, and r stays
-        _split_pivot(block, r, i, j)
+    while len(block) > 3:
+        at = _pivot(block, r)
+        if at is None:
+            c = gcd(r, *map(gcd, *block))
+            if c > 1:
+                scale *= c
+                r //= c ** len(block)
+                block = [[x // c % r for x in row] for row in block]
+                continue
+            orders, rows, cols = _cyclic_summands(block, r)
+            if orders:
+                summands += [scale * g for g in orders]
+                r //= prod(orders)
+                block = [
+                    [x % r for j, x in enumerate(row) if j not in cols]
+                    for i, row in enumerate(block)
+                    if i not in rows
+                ]
+                continue
+            _stabilize(block, r)
+            at = 0, 0
+        i, j = at
+        top = block.pop(i)
+        inv = pow(top[j], -1, r)
+        nonzero = [(c, y) for c, y in enumerate(top) if y]
+        for row in block:
+            f = row[j] * inv % r
+            if f:
+                for c, y in nonzero:
+                    row[c] = (row[c] - f * y) % r
+            del row[j]
         factors.append(scale)
-        block = [row[1:] for row in block[1:]]
-    if len(block) == 2:
+    if len(block) == 3:
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = block
+        d1 = gcd(r, x0, x1, x2, y0, y1, y2, z0, z1, z2)
+        d2 = gcd(
+            r,
+            x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x1 * y2 - x2 * y1,
+            x0 * z1 - x1 * z0, x0 * z2 - x2 * z0, x1 * z2 - x2 * z1,
+            y0 * z1 - y1 * z0, y0 * z2 - y2 * z0, y1 * z2 - y2 * z1,
+        )
+        factors += [scale * d1, scale * (d2 // d1), scale * (r // d2)]
+    elif len(block) == 2:
         g = gcd(r, *block[0], *block[1])
         factors += [scale * g, scale * (r // g)]
     elif block:
@@ -449,27 +461,19 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _pivot(block: Matrix, r: int) -> tuple[int, int, int]:
-    """(g, i, j) for the pivot of one elimination step, in one scan.
+def _pivot(block: Matrix, r: int) -> tuple[int, int] | None:
+    """(i, j) of the first unit modulo r in row-major order, or None.
 
-    g = gcd(block[i][j], r).  The first entry in row-major order with
-    g = 1, a unit modulo r, ends the scan; without one it is the first
-    entry of least g.  A block that is zero modulo r gives (r, 0, 0);
-    for r = 1 that is a unit too, as every entry is modulo 1.  When
-    g > 1 the caller divides out the block's content if it exceeds 1,
-    else splits off its cyclic summands, and only if it has none
-    splits at (i, j).
+    For r = 1 every entry is a unit, 0 included, and the block is all
+    zero, so the pivot is (0, 0).  Without a unit the caller divides
+    out the block's content if it exceeds 1, else splits off its
+    cyclic summands, and only if it has none stabilizes the block.
     """
-    best = (r, 0, 0)
     for i, row in enumerate(block):
         for j, x in enumerate(row):
-            if x:
-                g = gcd(x, r)
-                if g < best[0]:
-                    if g == 1:
-                        return 1, i, j
-                    best = (g, i, j)
-    return best
+            if x and gcd(x, r) == 1:
+                return i, j
+    return (0, 0) if r == 1 else None
 
 
 def _cyclic_summands(block: Matrix, r: int) -> tuple[list[int], set[int], set[int]]:
@@ -509,79 +513,38 @@ def _cyclic_summands(block: Matrix, r: int) -> tuple[list[int], set[int], set[in
     return orders, rows, cols
 
 
-def _split_pivot(block: Matrix, r: int, i: int, j: int) -> None:
-    """Split the factor 1 off a block with no unit modulo r.
+def _stabilize(block: Matrix, r: int) -> None:
+    """Put a unit modulo r at (0, 0) of a block of content 1, in place
+    (Storjohann, PhD thesis, ETH Zurich, 2000, stabilization).
 
-    The fallback of ``invariant_factors``: it runs only on a block of at
-    least three rows whose content gcd(r, entries) is 1 and which has
-    no row or column that is a cyclic summand, since content above 1
-    and such summands are taken out without it, and the last two rows
-    are read off directly.  Moves the pivot at (i, j), the entry with
-    the least gcd to r, to (0, 0), and clears row 0 and column 0 modulo
-    r by gcd row and column mixes until the pivot divides the block.
-    These mixes keep the content, so the pivot ends as a unit modulo r.
+    Column l is added t times to column 0, for l = 1, 2, ... until
+    gcd(r, column 0) = 1, with t the largest divisor of r prime to
+    g = gcd(r, column 0): a prime of r that divides t does not divide
+    column 0, and one that divides g does not divide t, so a prime of r
+    divides the new column 0 only if it divides both columns.  After
+    at most k - 1 such steps each surviving prime would divide every
+    column, and the content is 1.  Then the same is done with rows,
+    each row i added t times to row 0 until gcd(r, block[0][0]) = 1.
     """
-    block[0], block[i] = block[i], block[0]
-    if j:
+    def prime_to(g: int) -> int:
+        t = r
+        while g > 1:
+            t //= g
+            g = gcd(t, g)
+        return t
+
+    for l in range(1, len(block)):
+        g = gcd(r, *(row[0] for row in block))
+        if g == 1:
+            break
+        t = prime_to(g)
         for row in block:
-            row[0], row[j] = row[j], row[0]
-    while True:
-        _clear_column(block, r)
-        if not _clear_row(block, r):
-            continue
-        g = gcd(block[0][0], r)
-        for row in block[1:]:
-            if any(x % g for x in row):
-                # the pivot does not divide the block: fold the row in
-                block[0] = [(x + y) % r for x, y in zip(block[0], row)]
-                break
-        else:
-            return
-
-
-def _clear_column(block: Matrix, r: int) -> None:
-    """Zero column 0 below the pivot by row operations modulo r."""
-    for i in range(1, len(block)):
-        top, row = block[0], block[i]
-        x, p = row[0], top[0]
-        if not x:
-            continue
-        if x % p == 0:
-            # identity combination: an xgcd mix would swap the rows
-            f = x // p
-            block[i] = [(b - f * a) % r for a, b in zip(top, row)]
-        else:
-            g, s, t = xgcd(p, x)
-            u, v = x // g, p // g
-            block[0] = [(s * a + t * b) % r for a, b in zip(top, row)]
-            block[i] = [(v * b - u * a) % r for a, b in zip(top, row)]
-
-
-def _clear_row(block: Matrix, r: int) -> bool:
-    """Zero row 0 right of the pivot by column operations modulo r.
-
-    An entry the pivot divides is set to 0 directly, which is the
-    column operation only while column 0 is zero below the pivot.
-    Returns False once a gcd mix has made column 0 nonzero again.
-    """
-    top = block[0]
-    clean = True
-    for j in range(1, len(top)):
-        y, p = top[j], top[0]
-        if not y:
-            continue
-        if y % p == 0:
-            if clean:
-                top[j] = 0
-            else:
-                f = y // p
-                for row in block:
-                    row[j] = (row[j] - f * row[0]) % r
-        else:
-            g, s, t = xgcd(p, y)
-            u, v = y // g, p // g
-            for row in block:
-                a, b = row[0], row[j]
-                row[0], row[j] = (s * a + t * b) % r, (v * b - u * a) % r
-            clean = False
-    return clean
+            row[0] = (row[0] + t * row[l]) % r
+    for row in block[1:]:
+        g = gcd(r, block[0][0])
+        if g == 1:
+            break
+        t = prime_to(g)
+        block[0] = [(x + t * y) % r for x, y in zip(block[0], row)]
+    if gcd(r, block[0][0]) != 1:
+        raise ArithmeticError("stabilization left no unit pivot; the block has content above 1")

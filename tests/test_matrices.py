@@ -31,7 +31,6 @@ from spintori import matrices
 from spintori.matrices import (
     coupling_block,
     coupling_matrix,
-    doubled_inverse_transition,
     mat_mul,
     permutation_matrix,
     twist_factorization_check,
@@ -56,6 +55,16 @@ def multi_part_types(l_max):
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def doubled_inverse_transition(l):
+    """Twice the inverse of ``transition_matrix(l)``, which is integral:
+    row k < l - 1 is 2 on columns k to l - 3 and (1, 1) on the last two,
+    row l - 1 is (0, ..., 0, -1, 1).  The dense reference's own basis;
+    ``test_doubled_inverse`` checks it against the transition matrix."""
+    twos = [2] * (l - 2)
+    rows = [[0] * k + twos[k:] + [1, 1] for k in range(l - 1)]
+    return rows + [[0] * (l - 2) + [-1, 1]]
 
 
 def dense_weight_action(w):
@@ -197,35 +206,18 @@ class TestDirectWeightAction:
         assert weight_action_matrix(w) == dense_weight_action(w)
 
     def test_torus_matrix_matches_dense_reference(self):
-        for l in range(2, 11):
+        for l in range(2, 13):
             for form in (FORM_PLUS, FORM_MINUS):
                 for cls in enumerate_classes(l, form):
                     ref = dense_weight_action(representative(cls))
-                    for q in (2, 25, 2**61 - 1):
+                    for q in (2, 3, 25, 2**61 - 1):
                         expected = [
                             [q * x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(ref)
                         ]
                         assert torus_matrix(cls, q) == expected, (cls.literal(), q)
 
-    def test_odd_entry_is_refused(self, monkeypatch):
-        # one entry of the basis made odd, at each position in turn,
-        # leaves an odd entry in some row of 2W for every element
-        real = doubled_inverse_transition
-        w = (2, -3, 1, 4)
-        for i in range(4):
-            for k in range(4):
-                basis = [list(row) for row in real(4)]
-                basis[i][k] += 1
-                monkeypatch.setattr(matrices, "doubled_inverse_transition", lambda l: basis)
-                with pytest.raises(ArithmeticError):
-                    weight_action_matrix(w)
-                with pytest.raises(ArithmeticError):
-                    torus_matrix(TorusClass.parse("2,-1,1"), 3)
-        monkeypatch.undo()
-        assert weight_action_matrix(w) == dense_weight_action(w)
-
     def test_returned_matrices_are_fresh(self):
-        # the basis is cached per degree; no caller's edit reaches it
+        # every row is a new list; no caller's edit reaches a later call
         cls = TorusClass.parse("3,-2,1")
         w = representative(cls)
         want_w, want_t = dense_weight_action(w), torus_matrix(cls, 5)
@@ -235,8 +227,6 @@ class TestDirectWeightAction:
             m.append([0] * 6)
         assert weight_action_matrix(w) == want_w
         assert torus_matrix(cls, 5) == want_t
-        doubled = mat_mul(transition_matrix(6), doubled_inverse_transition(6))
-        assert doubled == [[2 * x for x in row] for row in identity(6)]
 
 
 class TestTorusMatrix:
@@ -267,6 +257,8 @@ class TestTorusMatrix:
             torus_matrix(SignedCycleType((1, 1)), 1)
         with pytest.raises(ValueError):
             torus_matrix(SignedCycleType((1,)), 3)
+        with pytest.raises(ValueError):
+            weight_action_matrix((-1,))
 
     def test_twist_factorization(self):
         for l in range(2, 9):

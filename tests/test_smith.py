@@ -64,7 +64,7 @@ def prime_product_matrices(draw, max_size):
     """Square matrices of size 2 to max_size with entries products of
     distinct primes among 2, 3 and 5; such a matrix often has content
     1 and no unit modulo its determinant, so the modular kernel has to
-    build a unit pivot with gcd row and column mixes (``_split_pivot``)."""
+    build a unit pivot by stabilization (``_stabilize``)."""
     n = draw(st.integers(2, max_size))
     entry = st.sampled_from((0, 2, -2, 3, -3, 5, -5, 6, -6, 10, -10, 15, -15))
     return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -116,6 +116,35 @@ def block_diagonal_matrices(draw, max_blocks):
     rows = draw(st.permutations(range(n)))
     cols = draw(st.permutations(range(n)))
     return [[m[i][j] for j in cols] for i in rows]
+
+
+@st.composite
+def tail_matrices(draw, max_size):
+    """Square matrices c A D B of size 1 to max_size.  A and B are both
+    random with entries in -3..3, or both unimodular, products L U of
+    unit triangular matrices; D = diag(1, ..., 1, d1, d2, d3), with the
+    d all 1 or drawn from small products of 2 and 3; c is 1, 2, 3 or 6.
+    Above three rows the unit steps usually clear all but the last
+    three, after c is divided out.  The 3-row tail left then often has
+    determinantal divisors whose ratios, and whose content, exceed 1,
+    and sometimes is zero modulo R = 1."""
+    n = draw(st.integers(1, max_size))
+    unimodular = draw(st.booleans())
+
+    def factor():
+        cells = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+        if not unimodular:
+            return cells
+        low = [[1 if i == j else x if j < i else 0 for j, x in enumerate(row)] for i, row in enumerate(cells)]
+        up = [[1 if i == j else x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(cells)]
+        return mat_mul(low, up)
+
+    a, b = factor(), factor()
+    k = min(n, 3)
+    tail = st.lists(st.sampled_from((1, 2, 3, 4, 6, 12)), min_size=k, max_size=k)
+    d = [1] * (n - k) + draw(st.one_of(st.just([1] * k), tail))
+    c = draw(st.sampled_from((1, 1, 2, 3, 6)))
+    return [[c * sum(x * e * row[j] for x, e, row in zip(ai, d, b)) for j in range(n)] for ai in a]
 
 
 def snf_nonzero_diagonal(m):
@@ -371,44 +400,72 @@ class TestModularInvariantFactors:
 
     def test_frozen_examples(self):
         # [[6, 0, 0], ...] has no unit modulo its determinant and
-        # content 1; each of its rows splits off as a cyclic summand
+        # content 1; its factors are read off its 2 x 2 minors
         assert invariant_factors([[1]]) == (1,)
         assert invariant_factors([[2, 1], [1, 1]]) == (1, 1)
         assert invariant_factors([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
         assert invariant_factors([[-4]]) == (4,)
 
     def test_summands_split_off_without_split_pivot(self, monkeypatch):
-        # units clear the first two rows; the block diag(6, 10, 15) left
-        # modulo 900 has no unit and content 1, and every row of it is a
-        # cyclic summand
+        # units clear the first two rows; the block diag(6, 10, 15, 7)
+        # left modulo 6300 has no unit and content 1, and every row of it
+        # is a cyclic summand, so the block is never stabilized
         def refuse(*args):
-            raise AssertionError("_split_pivot ran")
+            raise AssertionError("_stabilize ran")
 
-        monkeypatch.setattr(smith, "_split_pivot", refuse)
+        scans = []
+        summands = smith._cyclic_summands
+
+        def counted(block, r):
+            found = summands(block, r)
+            scans.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(smith, "_stabilize", refuse)
+        monkeypatch.setattr(smith, "_cyclic_summands", counted)
         m = [
-            [1, 0, 6, 0, 0],
-            [0, 1, 0, 10, 0],
-            [0, 0, 6, 0, 0],
-            [0, 0, 0, 10, 0],
-            [0, 0, 0, 0, 15],
+            [1, 0, 6, 0, 0, 0],
+            [0, 1, 0, 10, 0, 0],
+            [0, 0, 6, 0, 0, 0],
+            [0, 0, 0, 10, 0, 0],
+            [0, 0, 0, 0, 15, 0],
+            [0, 0, 0, 0, 0, 7],
         ]
-        assert invariant_factors(m) == snf_nonzero_diagonal(m) == (1, 1, 1, 30, 30)
-        assert invariant_factors([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == (1, 1, 30)
+        assert invariant_factors(m) == snf_nonzero_diagonal(m) == (1, 1, 1, 1, 30, 210)
+        assert scans == [4]
+        m = [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]]
+        assert invariant_factors(m) == (1, 1, 1, 210)
+        assert scans == [4, 4]
 
-    def test_block_without_summand_reaches_split_pivot(self, monkeypatch):
+    def test_block_without_summand_reaches_stabilize(self, monkeypatch):
         # every row and column has two nonzero entries, so no summand
-        # splits off and the gcd mixes still run
+        # splits off; the block has content 1 and no unit modulo 21204,
+        # and one stabilization leaves a unit at (0, 0)
         calls = []
-        split_pivot = smith._split_pivot
+        stabilize = smith._stabilize
 
-        def counted(*args):
-            calls.append(len(args[0]))
-            split_pivot(*args)
+        def counted(block, r):
+            assert all(math.gcd(x, r) > 1 for row in block for x in row)
+            assert math.gcd(r, *(x for row in block for x in row)) == 1
+            stabilize(block, r)
+            assert math.gcd(block[0][0], r) == 1
+            calls.append((len(block), r))
 
-        monkeypatch.setattr(smith, "_split_pivot", counted)
-        m = [[6, 10, 0], [0, 6, 15], [10, 0, 15]]
-        assert invariant_factors(m) == snf_nonzero_diagonal(m) == (1, 2, 1020)
-        assert calls == [3]
+        monkeypatch.setattr(smith, "_stabilize", counted)
+        m = [[6, 10, 0, 0], [0, 6, 15, 0], [0, 0, 6, 10], [15, 0, 0, 6]]
+        assert invariant_factors(m) == snf_nonzero_diagonal(m) == (1, 1, 6, 3534)
+        assert calls == [(4, 21204)]
+
+    def test_stabilize_refuses_content_above_one(self):
+        # every entry is even modulo 8, so no combination makes a unit
+        block = [[2, 4, 0, 6], [4, 2, 6, 0], [0, 6, 2, 4], [6, 0, 4, 2]]
+        with pytest.raises(ArithmeticError):
+            smith._stabilize(block, 8)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(tail_matrices(max_size=6))
+    def test_three_row_tail_matches_witness_path(self, m):
+        assert invariant_factors(m) == snf_nonzero_diagonal(m)
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(block_diagonal_matrices(max_blocks=4))
@@ -484,3 +541,26 @@ class TestModularKernel:
         assert kernel_digest() == (
             "5be8869211405e70fdf366f8ef6ff53d03b3d3b3b7298eb9a58261182e2ac011"
         )
+
+    def test_lattice_factors_are_unchanged(self):
+        # recorded before stuck blocks were stabilized and the last three
+        # factors read off 2 x 2 minors; a change here is a change of
+        # results, not of speed
+        assert lattice_factor_digest() == (
+            "2c753dca4a1969ca944dad52dffc8e29ce17e0efa74e78f06d5171b68d67f9e6"
+        )
+
+
+def lattice_factor_digest():
+    """SHA-256 over ``invariant_factors`` of every lattice matrix, and of
+    the reduced matrix of every class of two parts or more, with
+    l <= 10 at q = 25 and l <= 9 at q = 2^61 - 1."""
+    h = hashlib.sha256()
+    for q, l_max in ((25, 10), (2**61 - 1, 9)):
+        for l in range(2, l_max + 1):
+            for form in (FORM_PLUS, FORM_MINUS):
+                for cls in enumerate_classes(l, form):
+                    h.update(repr((cls.literal(), q, invariant_factors(torus_matrix(cls, q)))).encode())
+                    if len(cls.ctype.parts) >= 2:
+                        h.update(repr(invariant_factors(reduced_torus_matrix(cls.ctype, q))).encode())
+    return h.hexdigest()
