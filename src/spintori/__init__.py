@@ -21,7 +21,6 @@ from .matrices import (
     reduced_form_identity,
     reduced_torus_matrix,
     torus_matrix,
-    transition_matrix,
     twist_factorization_check,
     weight_action_matrix,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "reduced_form_identity",
     "reduced_torus_matrix",
     "torus_matrix",
-    "transition_matrix",
     "twist_factorization_check",
     "weight_action_matrix",
     "SnfResult",

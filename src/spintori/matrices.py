@@ -78,26 +78,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 # bases and actions
 
 
-def transition_matrix(l: int) -> Matrix:
-    """Rows are the simple-root coordinates in the orthonormal basis:
-    e_i - e_{i+1} for i < l, and e_{l-1} + e_l last.  Determinant +-2.
-
-    >>> transition_matrix(2)
-    [[1, -1], [1, 1]]
-    """
-    if l < 2:
-        raise ValueError("need at least two coordinates")
-    rows = []
-    for i in range(l - 1):
-        row = [0] * l
-        row[i], row[i + 1] = 1, -1
-        rows.append(row)
-    last = [0] * l
-    last[l - 2] = last[l - 1] = 1
-    rows.append(last)
-    return rows
-
-
 def permutation_matrix(images: tuple[int, ...]) -> Matrix:
     """Row i carries sign(w(i)) in column |w(i)|, for the element w
     with these images of 1..l.  A homomorphism for the left-to-right
@@ -118,9 +98,11 @@ def _action_rows(images: tuple[int, ...], q: int) -> Matrix:
     """Rows of q W, W the element's matrix on the fundamental-weight
     basis, each a new list built from slices with no product.
 
-    2W = S R N, with S = ``transition_matrix``, R the signed
-    permutation and N = 2 S^-1: row k < l - 1 of N is 2 on columns k to
-    l - 3 and (1, 1) on the last two, and row l - 1 is (0, ..., -1, 1).
+    2W = S R N, with S the simple roots in the orthonormal basis (rows
+    e_i - e_(i+1) for i < l and e_(l-1) + e_l last, det +-2), R the
+    signed permutation and N = 2 S^-1: row k < l - 1 of N is 2 on
+    columns k to l - 3 and (1, 1) on the last two, and row l - 1 is
+    (0, ..., -1, 1).
     So row i of 2W is sign(w(i)) N[|w(i)|] - sign(w(i+1)) N[|w(i+1)|],
     the sum for the last row.  Halved and times q, that is one side's
     +-q from the lower run start to the higher, their sum from there to
@@ -147,8 +129,9 @@ def _action_rows(images: tuple[int, ...], q: int) -> Matrix:
 
 def weight_action_matrix(images: tuple[int, ...]) -> Matrix:
     """The element's matrix on the fundamental-weight basis: S R S^-1,
-    with S = ``transition_matrix`` and R = ``permutation_matrix(images)``,
-    built row by row in O(l^2) with no matrix product.
+    with S the simple roots in the orthonormal basis and
+    R = ``permutation_matrix(images)``, built row by row in O(l^2) with
+    no matrix product.
 
     >>> weight_action_matrix((2, 1, 3))
     [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]

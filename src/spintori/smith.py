@@ -6,7 +6,9 @@ the diagonal.  It works over Z, but first brings A to row Hermite form
 H = U A, with the entries above each pivot reduced modulo that pivot
 (Kannan & Bachem, SIAM J. Comput. 8(4), 1979), and diagonalizes H with
 P started at U.  Row i of D and of P are one list [D_i | P_i] and Q is
-kept by columns, so each elementary step is one list build.
+kept by columns, so each elementary step is one list build.  Each
+clearing below a pivot is one row step, ``_clear_below``: subtraction
+where the pivot divides, else a 2 x 2 gcd mix.
 ``SnfResult.verify`` checks the whole certificate: D diagonal with a
 divisor chain, P A Q = D by a product over nonzeros, |det P| = |det Q|
 = 1.  On every lattice matrix of degree l <= 9 at q = 25, and on the
@@ -162,6 +164,30 @@ class SnfResult:
         return abs(determinant(p)) == 1 and (not q or abs(determinant(q)) == 1)
 
 
+def _clear_below(rows: Matrix, r: int, j: int) -> None:
+    """Clear column j below row r in place, on rows [D_i | P_i]: where the
+    pivot a divides the entry b below it, subtract b / a pivot rows, and
+    elsewhere mix the two rows by a unimodular 2 x 2 step that leaves
+    gcd(a, b) as the pivot and 0 below it."""
+    top = rows[r]
+    a = top[j]
+    for i in range(r + 1, len(rows)):
+        row = rows[i]
+        b = row[j]
+        if not b:
+            continue
+        if b % a == 0:
+            f = b // a
+            rows[i] = [t - f * s for s, t in zip(top, row)]
+        else:
+            # (top, row) <- (x top + y row, u top + v row), x v - y u = 1
+            g, x, y = xgcd(a, b)
+            u, v = -(b // g), a // g
+            rows[i] = [u * s + v * t for s, t in zip(top, row)]
+            rows[r] = top = [x * s + y * t for s, t in zip(top, row)]
+            a = g
+
+
 def _hermite(rows: Matrix, n: int) -> None:
     """Row Hermite form H = U A in place, on rows [H_i | U_i] whose first
     n entries are H's, so each row operation is one list build.
@@ -169,11 +195,10 @@ def _hermite(rows: Matrix, n: int) -> None:
     Columns are taken left to right in row echelon order; a column with
     no nonzero entry from the current row down has no pivot and is
     skipped, so singular and non-square input take the same path.  The
-    row with the least nonzero entry becomes the pivot row and clears
-    the column below it, by subtraction where the pivot divides and by
-    a unimodular 2 x 2 gcd mix elsewhere, and the pivot is made
-    positive.  Then the entries above each pivot are reduced into
-    [0, pivot) (Kannan & Bachem, SIAM J. Comput. 8(4), 1979).
+    row with the least nonzero entry becomes the pivot row, clears the
+    column below it (``_clear_below``) and is made positive.  Then the
+    entries above each pivot are reduced into [0, pivot) (Kannan &
+    Bachem, SIAM J. Comput. 8(4), 1979).
     """
     m = len(rows)
     pivots = []
@@ -186,20 +211,7 @@ def _hermite(rows: Matrix, n: int) -> None:
             continue
         least = min(col)[1]
         rows[r], rows[least] = rows[least], rows[r]
-        for i in range(r + 1, m):
-            top, row = rows[r], rows[i]
-            a, b = top[j], row[j]
-            if not b:
-                continue
-            if b % a == 0:
-                f = b // a
-                rows[i] = [t - f * s for s, t in zip(top, row)]
-            else:
-                # (top, row) <- (x top + y row, u top + v row), x v - y u = 1
-                g, x, y = xgcd(a, b)
-                u, v = -(b // g), a // g
-                rows[r] = [x * s + y * t for s, t in zip(top, row)]
-                rows[i] = [u * s + v * t for s, t in zip(top, row)]
+        _clear_below(rows, r, j)
         if rows[r][j] < 0:
             rows[r] = [-s for s in rows[r]]
         pivots.append(j)
@@ -234,13 +246,14 @@ def _least_entry(rows: Matrix, t: int, n: int) -> tuple[int, int] | None:
 def smith_normal_form(a: Matrix) -> SnfResult:
     """P A Q = D with d1 | d2 | ..., all diagonal entries >= 0.
 
-    Row i of D and row i of P are one list [D_i | P_i], so a row swap,
-    add, negation or gcd mix is one list build; Q is kept by columns,
-    so a column add on Q is one list build and a column swap an O(1)
-    swap, while D's columns change in place.  A is first brought to row
-    Hermite form H = U A, and P starts at U.  Then H is diagonalized
-    deterministically: the pivot is the least |entry| in the working
-    submatrix, row-major among ties.
+    A is brought to row Hermite form H = U A, P starting at U, and H is
+    diagonalized: the pivot is the least |entry| of the working block,
+    row-major among ties; ``_clear_below`` clears its column and column
+    steps reduce its row, a remainder that beats the pivot being swapped
+    in, until both are clear.  The divisibility repair takes each pair
+    i < j once: where d_i does not divide d_j, column j is added to
+    column i, ``_clear_below`` leaves (gcd, lcm) on the diagonal and a
+    column step clears row i.  A column swap is O(1) on Q's columns.
 
     >>> smith_normal_form([[2, 1], [0, 2]]).diagonal
     (1, 4)
@@ -248,6 +261,11 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     (2, 40)
     >>> smith_normal_form([[0, 0], [0, 0]]).diagonal
     (0, 0)
+
+    No pair divides either way, and 6 and 15 are not adjacent:
+
+    >>> smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]).diagonal
+    (1, 30, 30)
     """
     if not a:
         raise ValueError("empty matrix")
@@ -269,25 +287,14 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             for row in rows[t:]:  # the rows above are zero from column t on
                 row[t], row[bj] = row[bj], row[t]
             qt[t], qt[bj] = qt[bj], qt[t]
-        while True:
-            moved = False
-            for i in range(t + 1, m):
-                row, top = rows[i], rows[t]
-                if row[t] == 0:
-                    continue
-                f = row[t] // top[t]
-                if f:
-                    rows[i] = row = [x - f * y for x, y in zip(row, top)]
-                if row[t]:
-                    # remainder beats the pivot; promote it
-                    rows[t], rows[i] = row, top
-                    moved = True
-            if moved:
-                continue
+        moved = True
+        while moved:
+            _clear_below(rows, t, t)
             # column t is zero off the pivot until a swap, so until then
             # a column operation changes only row t of d
             top = rows[t]
             touched = [top]
+            moved = False
             for j in range(t + 1, n):
                 if top[j] == 0:
                     continue
@@ -302,29 +309,21 @@ def smith_normal_form(a: Matrix) -> SnfResult:
                         row[t], row[j] = row[j], row[t]
                     qt[t], qt[j] = qt[j], qt[t]
                     moved = True
-            if not moved:
-                break
         rank = t + 1
 
-    # divisibility repair: adjacent pairs until the chain holds
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            j = i + 1
-            ri, rj = rows[i], rows[j]
-            di, dj = ri[i], rj[j]
-            if dj % di == 0:
+    # divisibility repair, one pass: (d_i, d_j) <- (gcd, lcm) for each
+    # pair i < j in order, so d_i divides every later d_j when row i is
+    # done, and gcds and lcms of its multiples stay its multiples
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            rj = rows[j]
+            if rj[j] % rows[i][i] == 0:
                 continue
-            changed = True
-            rj[i] = dj  # column i += column j, as d is diagonal
+            rj[i] = rj[j]  # column i += column j, as d is diagonal
             qt[i] = [s + t for s, t in zip(qt[i], qt[j])]
-            g, x, y = xgcd(di, dj)
-            u, v = -(dj // g), di // g
-            rows[i] = [x * s + y * t for s, t in zip(ri, rj)]
-            rows[j] = [u * s + v * t for s, t in zip(ri, rj)]
-            # column j -= f column i clears d[i][j] = f g against d[i][i] = g
-            f = y * (dj // g)
+            _clear_below(rows, i, i)
+            # column j -= f column i clears d[i][j] against d[i][i]
+            f = rows[i][j] // rows[i][i]
             rows[i][j] = 0
             qt[j] = [s - f * t for s, t in zip(qt[j], qt[i])]
 

@@ -24,7 +24,6 @@ from spintori import (
     standard_representative,
     torus_matrix,
     torus_order,
-    transition_matrix,
     weight_action_matrix,
 )
 from spintori import matrices
@@ -55,6 +54,14 @@ def multi_part_types(l_max):
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def transition_matrix(l):
+    """Rows are the simple-root coordinates in the orthonormal basis:
+    e_i - e_(i+1) for i < l, and e_(l-1) + e_l last.  Determinant +-2.
+    The dense reference's basis change; the library writes W without it."""
+    rows = [[0] * i + [1, -1] + [0] * (l - 2 - i) for i in range(l - 1)]
+    return rows + [[0] * (l - 2) + [1, 1]]
 
 
 def doubled_inverse_transition(l):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -228,6 +229,26 @@ class TestDeterminant:
             assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
 
 
+# zeros, units, small entries that often share a factor, and 62-bit ones
+DIAGONAL_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-60, 60),
+    st.integers(-(2**62), 2**62),
+    st.lists(st.sampled_from((2, 3, 5, 7)), max_size=6).map(math.prod),
+)
+
+
+def diagonal_factors(entries):
+    """Nonzero invariant factors of diag(entries) from its determinantal
+    divisors: d_k is the gcd of the products of k nonzero |entries|, and
+    the k-th factor is d_k / d_(k-1)."""
+    nonzero = [abs(x) for x in entries if x]
+    divisors = [1]
+    for k in range(1, len(nonzero) + 1):
+        divisors.append(math.gcd(*map(math.prod, itertools.combinations(nonzero, k))))
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))
+
+
 class TestSmithNormalForm:
     def test_frozen_examples(self):
         assert smith_normal_form([[2, 1], [0, 2]]).diagonal == (1, 4)
@@ -350,11 +371,26 @@ class TestSmithNormalForm:
             res.verify([])
 
     def test_witnesses_are_unchanged(self):
-        # recorded before D and P were kept as one row and Q by columns;
-        # a change here is a change of the elimination steps, not of speed
+        # recorded when every clearing below a pivot became one row step,
+        # ``_clear_below``, and the divisibility repair one pass over the
+        # pairs i < j; D was the same as before, P and Q were not.  A
+        # change here is a change of the elimination steps, not of speed
         assert witness_digest() == (
-            "e6cf1659fd4dc8d0c53a319b5b5454f10ffaaf6f1dba33fc588d9bd739707bf3"
+            "5f047cfeafb072a83e5ec5ec354976d8aee03589ef1a848a7c18c9c9e343d973"
         )
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(DIAGONAL_ENTRIES, min_size=1, max_size=8))
+    def test_repair_on_diagonal_input(self, entries):
+        # the Hermite form and the pivot loop only permute a diagonal
+        # input, so the divisibility repair alone makes the chain, and
+        # many pairs of entries, adjacent or not, divide neither way
+        n = len(entries)
+        m = [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)]
+        res = smith_normal_form(m)
+        assert res.verify(m)
+        factors = tuple(x for x in res.diagonal if x)
+        assert factors == invariant_factors(m) == diagonal_factors(entries)
 
 
 def witness_digest():

@@ -176,9 +176,10 @@ def test_smith_routes_stay_apart():
 
 
 
-def test_mat_mul_has_one_library_caller():
-    # the check matrices are built without a generic product, as the
-    # ``matrices.py`` docstring says, so the certificate is the one caller
+def library_callers(name):
+    """Every "file:function" of the library whose code calls ``name``,
+    by plain name or as an attribute; module-level calls count as
+    "<module>" and methods as "Class.method"."""
     callers = set()
     for path in SOURCE_FILES:
         stack = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
@@ -192,6 +193,18 @@ def test_mat_mul_has_one_library_caller():
                     stack.append((scope, child))
             if isinstance(node, ast.Call):
                 f = node.func
-                if getattr(f, "id", None) == "mat_mul" or getattr(f, "attr", None) == "mat_mul":
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
                     callers.add(f"{path.name}:{scope}")
-    assert callers == {"smith.py:SnfResult.verify"}
+    return callers
+
+
+def test_mat_mul_has_one_library_caller():
+    # the check matrices are built without a generic product, as the
+    # ``matrices.py`` docstring says, so the certificate is the one caller
+    assert library_callers("mat_mul") == {"smith.py:SnfResult.verify"}
+
+
+def test_xgcd_has_one_library_caller():
+    # every clearing below a pivot in the witness path, in the Hermite
+    # form, the pivot loop and the divisibility repair, is one row step
+    assert library_callers("xgcd") == {"smith.py:_clear_below"}
