@@ -30,6 +30,7 @@ from .permutations import (
     FORM_MINUS,
     FORM_PLUS,
     TorusClass,
+    class_count,
     iter_classes,
 )
 from .smith import smith_normal_form
@@ -43,6 +44,8 @@ from .tori import (
 )
 
 FORM_SIGIL = {FORM_PLUS: "+", FORM_MINUS: "-"}
+
+MAX_VERIFY_PAIRS = 1_000_000  # l <= 13 at ten q is 49,280 pairs, about 10 s
 
 # Rows whose published value is known to disagree with both computation
 # routes, keyed by (degree, form, parts).  The table command marks them.
@@ -169,6 +172,15 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    counted = 0  # only up to the limit, so no --l-max is slow to count
+    for l in range(2, args.l_max + 1):
+        counted += class_count(l)
+        if (pairs := counted * len(args.q)) > MAX_VERIFY_PAIRS:
+            args.parser.error(
+                f"--l-max {args.l_max} at {len(args.q)} q is too large a sweep: l = 2..{l}"
+                f"{' alone' if l < args.l_max else ''} has {counted:,} classes, "
+                f"{pairs:,} (class, q) pairs, above the limit of {MAX_VERIFY_PAIRS:,}"
+            )
     for q in args.q:
         _warn_composite_q(q)
 
@@ -303,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="cross-check both routes over a sweep", allow_abbrev=False)
     sp.add_argument("--l-max", type=_at_least_two, default=4, metavar="L")
     sp.add_argument("--q", type=_q_list, default="2,3,4,5", help="comma separated q values")
-    sp.set_defaults(func=_cmd_verify)
+    sp.set_defaults(func=_cmd_verify, parser=sp)
 
     sp = sub.add_parser("snf", help="Smith normal form of a matrix file", allow_abbrev=False)
     sp.add_argument("matrix", help="path to a matrix file, or - for stdin")

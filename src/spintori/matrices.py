@@ -200,12 +200,9 @@ def coupling_block(length: int, eps: int, last_length: int, last_eps: int) -> Ma
     [[-1, 1]]
     """
     b = [[0] * last_length for _ in range(length)]
-    for i in range(length):
-        b[i][0] += last_eps
-    half_pair = -(1 + last_eps) // 2
-    for i in range(length - 1):
-        b[i][last_length - 1] += half_pair
-    b[length - 1][last_length - 1] += -(eps + last_eps) // 2
+    for i, row in enumerate(b):
+        row[0] += last_eps
+        row[-1] -= (1 + last_eps if i < length - 1 else eps + last_eps) // 2
     return b
 
 
@@ -231,18 +228,16 @@ def reduced_form_identity(ctype: SignedCycleType, q: int) -> bool:
     matrix and B the coupling matrix.  Checked doubled, so it stays in
     integers, row by row with no matrix product: row i of (E + J) R is
     r = R[i] + R[l-1], and r (2E - J) is 2r less sum(r) in its last
-    entry.  Both sides take 2 off the diagonal.
+    entry.  The -E on both sides cancels, so neither side takes it.
     """
     if ctype.degree < 2:
         raise ValueError("identity needs degree >= 2")
     r = permutation_matrix(standard_representative(ctype))
     last, last_sum, q2 = r[-1], sum(r[-1]), 2 * q
-    for i, (ri, bi) in enumerate(zip(r, coupling_matrix(ctype))):
+    for ri, bi in zip(r, coupling_matrix(ctype)):
         lhs = [q2 * (x + y) for x, y in zip(ri, last)]
         lhs[-1] -= q * (sum(ri) + last_sum)
-        lhs[i] -= 2
         rhs = [q2 * (x + y) for x, y in zip(ri, bi)]
-        rhs[i] -= 2
         if lhs != rhs:
             return False
     return True
@@ -252,11 +247,13 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     """The small matrix left after the block elimination; it has the
     same nontrivial invariant factors as ``torus_matrix``.
 
-    For r+s parts with final part length m and sign f, the shape is
-    (r+s+1) x (r+s+1) when m > 1 and (r+s) x (r+s) when m == 1; the
-    first r+s-1 rows carry diag(q^length - sign) plus coupling entries
-    in the trailing column(s).  Every entry is read off one table of
-    the powers of q and their running sums, built once per call.
+    For r+s parts with final part length m and sign f, head row i < r+s-1
+    carries q^length - sign on the diagonal and then the part's coupling
+    entries (a_i, b_i) when m > 1, or their sum a_i + b_i when m == 1,
+    since the final part's two coupling columns then coincide.  The tail
+    block follows: 2 x 2 when m > 1, [[q - f]] when m == 1.  Every entry
+    is read off one table of the powers of q and their running sums,
+    built once per call.
 
     >>> reduced_torus_matrix(SignedCycleType((1, -1)), 3)
     [[2, -3], [0, 4]]
@@ -274,36 +271,22 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     for _ in range(max(lengths) - 1):
         power.append(power[-1] * q)
         above.append(above[-1] + power[-1])
-
-    def a_entry(i):
-        return f * (signs[i] * q + above[lengths[i]])
-
-    def b_entry(i):
-        num = (1 + f * signs[i]) * q + (1 + f) * above[lengths[i]]
+    out = []
+    for i in range(head):
+        length, eps = lengths[i], signs[i]
+        a = f * (eps * q + above[length])
+        num = (1 + f * eps) * q + (1 + f) * above[length]  # b = -num / 2
         if num % 2:
             raise ArithmeticError("coupling entry not even; block elimination broken")
-        return -(num // 2)
-
+        row = [0] * head + ([a, -(num // 2)] if m > 1 else [a - num // 2])
+        row[i] = power[length] - eps
+        out.append(row)
     if m > 1:
-        n = head + 2
-        out = [[0] * n for _ in range(n)]
-        for i in range(head):
-            out[i][i] = power[lengths[i]] - signs[i]
-            out[i][n - 2] = a_entry(i)
-            out[i][n - 1] = b_entry(i)
         tail_sum = q + above[m - 1]
-        out[n - 2][n - 2] = -1 + f * tail_sum
-        out[n - 2][n - 1] = power[m - 1] - ((1 + f) // 2) * tail_sum
-        out[n - 1][n - 2] = 2 * q
-        out[n - 1][n - 1] = -q - f
-        return out
-
-    n = head + 1
-    out = [[0] * n for _ in range(n)]
-    for i in range(head):
-        out[i][i] = power[lengths[i]] - signs[i]
-        out[i][n - 1] = a_entry(i) + b_entry(i)
-    out[n - 1][n - 1] = q - f
+        tail = [[-1 + f * tail_sum, power[m - 1] - (1 + f) // 2 * tail_sum], [2 * q, -q - f]]
+    else:
+        tail = [[q - f]]
+    out += [[0] * head + row for row in tail]
     return out
 
 

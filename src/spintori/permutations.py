@@ -249,6 +249,18 @@ def iter_classes(l: int, form: str) -> Iterator[TorusClass]:
                 yield TorusClass(cls.ctype, "-")
 
 
+def class_count(l: int) -> int:
+    """The number of torus classes of degree l, both forms, with none
+    built: the coefficient of x^l in prod_d (1 - x^d)^-2, which counts
+    the signed cycle types as pairs of partitions, plus p(l/2) for even
+    l, the '-' twins of the split types."""
+    p = [1] + [0] * l  # partition numbers, one part size d at a time
+    for d in range(1, l + 1):
+        for n in range(d, l + 1):
+            p[n] += p[n - d]
+    return sum(x * y for x, y in zip(p, reversed(p))) + (0 if l % 2 else p[l // 2])
+
+
 def enumerate_classes(l: int, form: str) -> list[TorusClass]:
     """All torus classes of the given degree and form, canonically
     ordered (see ``iter_classes``, which yields them one at a time).

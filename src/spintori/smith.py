@@ -480,36 +480,28 @@ def _cyclic_summands(block: Matrix, r: int) -> tuple[list[int], set[int], set[in
     are direct summands Z/g.
 
     Row i is one if its one nonzero entry x sits in column j and
-    g = gcd(x, r) divides the rest of column j; column j is one in the
-    same way with rows and columns exchanged.  Modulo r, x is g times a
+    g = gcd(x, r) divides the rest of column j; a column is one by the
+    same rule read on the transpose, so one loop scans the rows of the
+    block and then those of its transpose.  Modulo r, x is g times a
     unit, so one row (column) operation per entry clears the rest of
     column j (row i) and changes nothing else: every summand found in
     the scan splits off at once, and row i and column j are deleted.
-    Two rows cannot qualify in one column, nor two columns in one row:
-    the cokernel would then have order above r.
+    Summands are keyed by (i, j), so a column taken with its row is the
+    same summand.  Two rows cannot qualify in one column, nor two
+    columns in one row: the cokernel would then have order above r.
     """
     k = len(block)
-    orders, rows, cols = [], set(), set()
     columns = list(zip(*block))
-    # entries lie in [0, r), so a line's one nonzero entry is its maximum
-    for i, row in enumerate(block):
-        if row.count(0) == k - 1:
-            j = row.index(max(row))
-            g = gcd(row[j], r)
-            if gcd(g, *columns[j]) == g:
-                orders.append(g)
-                rows.add(i)
-                cols.add(j)
-    for j, col in enumerate(columns):
-        # a column taken with its row above is the same summand
-        if j not in cols and col.count(0) == k - 1:
-            i = col.index(max(col))
-            g = gcd(col[i], r)
-            if gcd(g, *block[i]) == g:
-                orders.append(g)
-                rows.add(i)
-                cols.add(j)
-    return orders, rows, cols
+    found = {}  # (row, column) -> order
+    for lines, across, flip in ((block, columns, False), (columns, block, True)):
+        # entries lie in [0, r), so a line's one nonzero entry is its maximum
+        for i, line in enumerate(lines):
+            if line.count(0) == k - 1:
+                j = line.index(max(line))
+                g = gcd(line[j], r)
+                if gcd(g, *across[j]) == g:
+                    found[(j, i) if flip else (i, j)] = g
+    return list(found.values()), {i for i, _ in found}, {j for _, j in found}
 
 
 def _stabilize(block: Matrix, r: int) -> None:

@@ -383,16 +383,13 @@ def _merge_terms(terms: Factor) -> Factor:
     return ((2 * a, 1),) if terms == ((a, 1), (a, -1)) else terms
 
 
-def _poly_key(terms) -> tuple:
-    # coefficients of prod(x^a - eps), leading first: polynomial order
-    coeffs = [1]
-    for a, eps in terms:
-        new = [0] * (len(coeffs) + a)
-        for i, c in enumerate(coeffs):
-            new[i + a] += c
-            new[i] -= eps * c
-        coeffs = new
-    return (len(coeffs) - 1, tuple(reversed(coeffs)))
+def _poly_key(terms) -> int:
+    # the value at q = 8 sorts factors in polynomial order: after
+    # _merge_terms a factor is x^a - e or (x^a - e1)(x^b - e2) with a != b,
+    # so each coefficient is -1, 0 or 1; two factors differ by at most 2
+    # per coefficient, and 2 (8^k - 1) / 7 < 8^k, so the highest
+    # coefficient where they differ decides
+    return prod(8**a - eps for a, eps in terms)
 
 
 def _term_body(a: int, eps: int) -> str:

@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -275,6 +276,28 @@ class TestVerify:
         assert res.returncode == 0
         assert res.stderr == ""
         assert res.stdout.splitlines()[-1].endswith("0 failures")
+
+    def test_refuses_a_sweep_past_the_limit(self):
+        # l <= 40 is 38,363,946 classes; the count stops at the first
+        # degree past the limit, so the refusal is immediate
+        start = time.perf_counter()
+        res = run("verify", "--l-max", "40", "--q", "2,3,4,5,7,9,11,13,16,25", timeout=30)
+        assert time.perf_counter() - start < 1
+        assert res.returncode == 2
+        assert "l = 2..21 alone has 115,514 classes, 1,155,140 (class, q) pairs" in res.stderr
+        assert res.stdout == ""
+
+    def test_limit_is_on_class_and_q_pairs(self, monkeypatch, capsys):
+        # l <= 20 at ten q is 805,120 pairs and runs; l <= 21 is refused
+        monkeypatch.setattr(cli, "sweep_checks", lambda classes, qs: iter(()))
+        qs = "2,3,4,5,7,9,11,13,16,25"
+        assert cli.main(["verify", "--l-max", "20", "--q", qs]) == 0
+        assert capsys.readouterr().out == "total: 0 checks, 0 failures\n"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--l-max", "21", "--q", qs])
+        assert exc.value.code == 2
+        assert "l = 2..21 has 115,514 classes" in capsys.readouterr().err
+        assert cli.main(["verify", "--l-max", "21", "--q", "2,3,4,5,7,9,11,13"]) == 0
 
     def test_rejects_bad_q_list(self):
         assert run("verify", "--l-max", "2", "--q", "2,x").returncode == 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -343,6 +344,26 @@ class TestBlockReduction:
     def test_single_part_is_degenerate(self):
         with pytest.raises(ValueError):
             reduced_torus_matrix(SignedCycleType((4,)), 3)
+
+    def test_reduced_matrices_are_unchanged(self):
+        # recorded before the two matrix shapes shared one head-row
+        # loop; a change here is a change of results, not of speed
+        assert reduced_matrix_digest() == (
+            "a5770f9330edba692b496713284d48230ae22a39a4b684535a8c52a5d912ad40"
+        )
+
+
+def reduced_matrix_digest():
+    """SHA-256 over ``reduced_torus_matrix`` of every class of two parts
+    or more with l <= 10, at q = 2, 3, 25 and 2^61 - 1."""
+    h = hashlib.sha256()
+    for q in (2, 3, 25, 2**61 - 1):
+        for l in range(2, 11):
+            for form in (FORM_PLUS, FORM_MINUS):
+                for cls in iter_classes(l, form):
+                    if len(cls.ctype.parts) >= 2:
+                        h.update(repr((cls.literal(), q, reduced_torus_matrix(cls.ctype, q))).encode())
+    return h.hexdigest()
 
 
 class TestMatrixText:

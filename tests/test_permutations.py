@@ -18,6 +18,8 @@ from spintori import (
     torus_order,
 )
 
+from spintori.permutations import class_count
+
 from oracle_tools import (
     compose,
     conjugacy_orbits,
@@ -189,6 +191,13 @@ class TestEnumeration:
             want = pairs[l] + (partitions[l // 2] if l % 2 == 0 else 0)
             got = len(enumerate_classes(l, FORM_PLUS)) + len(enumerate_classes(l, FORM_MINUS))
             assert got == want, l
+
+    def test_class_count_without_building_classes(self):
+        # the count ``verify`` makes before it sweeps
+        for l in range(2, 13):
+            built = sum(1 for f in (FORM_PLUS, FORM_MINUS) for _ in iter_classes(l, f))
+            assert class_count(l) == built, l
+        assert sum(map(class_count, range(2, 41))) == 38_363_946
 
     def test_forms_are_consistent(self):
         for l in range(2, 7):

@@ -492,6 +492,16 @@ class TestModularInvariantFactors:
         assert invariant_factors(m) == snf_nonzero_diagonal(m) == (1, 1, 6, 3534)
         assert calls == [(4, 21204)]
 
+    def test_column_summands_split_off(self):
+        # no row of the first block has one nonzero entry, but column 0
+        # does, and its 2 divides row 0: only the column half of the
+        # scan finds that Z/2.  In the diagonal block each summand is
+        # found by its row and by its column, and counts once.
+        block = [[2, 4, 0, 0], [0, 3, 5, 0], [0, 0, 5, 3], [0, 7, 0, 5]]
+        assert smith._cyclic_summands(block, 210) == ([2], {0}, {0})
+        block = [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]]
+        assert smith._cyclic_summands(block, 210) == ([2, 3, 5, 7], {0, 1, 2, 3}, {0, 1, 2, 3})
+
     def test_stabilize_refuses_content_above_one(self):
         # every entry is even modulo 8, so no combination makes a unit
         block = [[2, 4, 0, 6], [4, 2, 6, 0], [0, 6, 2, 4], [6, 0, 4, 2]]
