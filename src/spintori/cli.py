@@ -19,6 +19,7 @@ import itertools
 import json
 import os
 import sys
+from math import prod
 from pathlib import Path
 
 from .matrices import (
@@ -45,7 +46,14 @@ from .tori import (
 
 FORM_SIGIL = {FORM_PLUS: "+", FORM_MINUS: "-"}
 
-MAX_VERIFY_PAIRS = 1_000_000  # l <= 13 at ten q is 49,280 pairs, about 10 s
+# The largest verify sweep, in (class, q) pairs, and the largest table,
+# in classes of both forms: l <= 13 at ten q is 49,280 pairs, about 10 s
+MAX_VERIFY_PAIRS = 1_000_000
+# The highest degree structure checks at a given --q: the lattice check
+# costs l^3 steps on entries of l bits(q) bits; at l = 64 and
+# q = 2^61 - 1 the checks of twelve 3s and fourteen -2s take 0.8 s
+# together on 2 vCPUs
+MAX_CHECK_DEGREE = 64
 
 # Rows whose published value is known to disagree with both computation
 # routes, keyed by (degree, form, parts).  The table command marks them.
@@ -107,14 +115,18 @@ def _cmd_structure(args) -> int:
         cls = TorusClass.parse(args.type)
     except ValueError as exc:
         args.parser.error(str(exc))
-    if cls.ctype.degree < 2:
-        args.parser.error(f"type {args.type!r} has degree {cls.ctype.degree}, below 2")
+    if args.q is not None and cls.ctype.degree > MAX_CHECK_DEGREE:
+        args.parser.error(
+            f"type {cls.literal()} has degree {cls.ctype.degree}, above {MAX_CHECK_DEGREE}, "
+            f"the largest checked at a given --q; without --q the closed form is printed"
+        )
     dec = closed_form_decomposition(cls)
     checks = []
     if args.q is not None:
         _warn_composite_q(args.q)
         checks = list(sweep_checks([cls], [args.q]))
-        checks.append(Check(cls, args.q, "order law", torus_order(cls, args.q), dec.order(args.q)))
+        order = prod(dec.orders(args.q))
+        checks.append(Check(cls, args.q, "order law", torus_order(cls, args.q), order))
         for c in (c for c in checks if not c.ok):
             msg = f"FAIL {c.route} for {cls.literal()} at q={args.q}: want {c.want}, got {c.got}"
             print(msg, file=sys.stderr)
@@ -142,6 +154,11 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if (count := class_count(args.l)) > MAX_VERIFY_PAIRS:
+        args.parser.error(
+            f"--l {args.l} is too large a table: l = {args.l} has {count:,} classes "
+            f"of both forms, above the limit of {MAX_VERIFY_PAIRS:,}"
+        )
     classes = iter_classes(args.l, args.form)
 
     if args.format == "json":
@@ -212,7 +229,8 @@ def _cmd_verify(args) -> int:
 @contextlib.contextmanager
 def _unlimited_int_text():
     """Lift Python's cap on int <-> str conversion (4300 digits by
-    default where it exists): witness entries can be far longer."""
+    default where it exists): a --q, an order or a witness entry can be
+    far longer."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         yield
@@ -241,23 +259,22 @@ def _read_matrix_file(args) -> str:
 
 def _cmd_snf(args) -> int:
     text = _read_matrix_file(args)
-    with _unlimited_int_text():
-        try:
-            mat = parse_matrix_text(text)
-        except MatrixFormatError as exc:
-            args.parser.error(str(exc))
-        res = smith_normal_form(mat)
-        sys.stdout.write("D:\n")
-        sys.stdout.write(format_matrix_text(res.d))
-        if args.witnesses:
-            if not res.verify(mat):
-                print("witness check failed", file=sys.stderr)
-                return 1
-            sys.stdout.write("P:\n")
-            sys.stdout.write(format_matrix_text(res.p))
-            sys.stdout.write("Q:\n")
-            sys.stdout.write(format_matrix_text(res.q))
-        print(f"invariant factors: {_fmt_ints([x for x in res.diagonal if x])}")
+    try:
+        mat = parse_matrix_text(text)
+    except MatrixFormatError as exc:
+        args.parser.error(str(exc))
+    res = smith_normal_form(mat)
+    sys.stdout.write("D:\n")
+    sys.stdout.write(format_matrix_text(res.d))
+    if args.witnesses:
+        if not res.verify(mat):
+            print("witness check failed", file=sys.stderr)
+            return 1
+        sys.stdout.write("P:\n")
+        sys.stdout.write(format_matrix_text(res.p))
+        sys.stdout.write("Q:\n")
+        sys.stdout.write(format_matrix_text(res.q))
+    print(f"invariant factors: {_fmt_ints([x for x in res.diagonal if x])}")
     return 0
 
 
@@ -310,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_degree(sp)
     _add_form(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_table)
+    sp.set_defaults(func=_cmd_table, parser=sp)
 
     sp = sub.add_parser("verify", help="cross-check both routes over a sweep", allow_abbrev=False)
     sp.add_argument("--l-max", type=_at_least_two, default=4, metavar="L")
@@ -326,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    with _unlimited_int_text():
+        args = build_parser().parse_args(argv)
+        return args.func(args)
 
 
 def entry() -> None:

@@ -36,6 +36,11 @@ from .permutations import (
     standard_representative,
 )
 
+__all__ = [
+    "MatrixFormatError", "format_matrix_text", "parse_matrix_text", "reduced_form_identity",
+    "reduced_torus_matrix", "torus_matrix", "twist_factorization_check", "weight_action_matrix",
+]
+
 Matrix = list[list[int]]
 
 
@@ -156,8 +161,6 @@ def torus_matrix(tau, q: int) -> Matrix:
     cls = TorusClass.coerce(tau)
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    if cls.ctype.degree < 2:
-        raise ValueError("torus matrices need degree >= 2")
     out = _action_rows(representative(cls), q)
     for i, row in enumerate(out):
         row[i] -= 1
@@ -230,8 +233,6 @@ def reduced_form_identity(ctype: SignedCycleType, q: int) -> bool:
     r = R[i] + R[l-1], and r (2E - J) is 2r less sum(r) in its last
     entry.  The -E on both sides cancels, so neither side takes it.
     """
-    if ctype.degree < 2:
-        raise ValueError("identity needs degree >= 2")
     r = permutation_matrix(standard_representative(ctype))
     last, last_sum, q2 = r[-1], sum(r[-1]), 2 * q
     for ri, bi in zip(r, coupling_matrix(ctype)):

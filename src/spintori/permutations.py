@@ -26,6 +26,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+__all__ = [
+    "FORM_MINUS", "FORM_PLUS", "SignedCycleType", "TorusClass", "enumerate_classes",
+    "iter_classes", "representative", "standard_representative",
+]
+
 FORM_PLUS = "plus"
 FORM_MINUS = "minus"
 
@@ -44,7 +49,9 @@ class SignedCycleType:
 
     Parts are nonzero integers; a negative part is a negative cycle of
     that length.  Canonical order is positives descending, then
-    negatives by length descending.
+    negatives by length descending.  The degree, the sum of the
+    lengths, is at least 2: every part adds at least 1, so only the
+    types 1 and -1 fall short.
 
     >>> SignedCycleType((-1, 2, -2, 1)).parts
     (2, 1, -2, -1)
@@ -64,6 +71,8 @@ class SignedCycleType:
         pos = sorted((p for p in self.parts if p > 0), reverse=True)
         neg = sorted((p for p in self.parts if p < 0), key=abs, reverse=True)
         object.__setattr__(self, "parts", tuple(pos) + tuple(neg))
+        if self.parts in ((1,), (-1,)):
+            raise ValueError(f"type {self.literal()} has degree 1, below 2")
 
     @classmethod
     def parse(cls, text: str) -> "SignedCycleType":

@@ -54,6 +54,8 @@ from math import gcd, lcm, prod
 
 from .matrices import mat_mul
 
+__all__ = ["SnfResult", "determinant", "invariant_factors", "smith_normal_form", "xgcd"]
+
 Matrix = list[list[int]]
 
 

@@ -34,6 +34,11 @@ from .permutations import SignedCycleType, TorusClass, form_sign
 from .smith import invariant_factors
 from .matrices import reduced_form_identity, reduced_torus_matrix, torus_matrix
 
+__all__ = [
+    "Check", "TorusDecomposition", "alternative_decomposition", "canonical_invariants",
+    "center_invariants", "closed_form_decomposition", "embeds", "is_prime_power",
+    "sweep_checks", "torus_order", "two_part",
+]
 
 Factor = tuple[tuple[int, int], ...]
 
@@ -67,9 +72,6 @@ class TorusDecomposition:
 
     def orders(self, q: int) -> tuple[int, ...]:
         return tuple(prod(q**a - eps for a, eps in f) for f in self.factors)
-
-    def order(self, q: int) -> int:
-        return prod(self.orders(q))
 
     def symbolic(self) -> str:
         shown = sorted(map(_merge_terms, self.factors), key=_poly_key, reverse=True)
@@ -216,12 +218,6 @@ def canonical_invariants(orders) -> tuple[int, ...]:
     return tuple(v for v in vals if v > 1)
 
 
-def oracle_invariants(tau, q: int) -> tuple[int, ...]:
-    """Nontrivial invariant factors of the lattice matrix: the
-    independent route the closed form is checked against."""
-    return tuple(x for x in invariant_factors(torus_matrix(tau, q)) if x > 1)
-
-
 class Check(NamedTuple):
     """One comparison of a sweep: what the closed form predicts for a
     class at q against what one other route gives (invariant factors,
@@ -248,6 +244,11 @@ def sweep_checks(classes, qs) -> Iterator[Check]:
     block-eliminated matrix (``reduced matrix``).  Checks come in the
     order of the classes, then of ``qs``.
 
+    The want of every check but the identity is the closed form's
+    divisor chain, sifted by ``canonical_invariants``.  Both matrix
+    routes read their got the one way ``_smith_chain`` does, as the
+    invariant factors above 1, so no closed-form code touches them.
+
     >>> [(c.route, c.ok) for c in sweep_checks([TorusClass.parse("1,-1")], [3])]
     [('lattice', True), ('coupling identity', True), ('reduced matrix', True)]
     """
@@ -257,14 +258,20 @@ def sweep_checks(classes, qs) -> Iterator[Check]:
         reduced = cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
         for q in qs:
             want = canonical_invariants(dec.orders(q))
-            yield Check(cls, q, "lattice", want, oracle_invariants(cls, q))
+            yield Check(cls, q, "lattice", want, _smith_chain(torus_matrix(cls, q)))
             alt = alternative_decomposition(cls, q)
             if alt is not None:
                 yield Check(cls, q, "alternative", want, canonical_invariants(alt.orders(q)))
             if reduced:
                 yield Check(cls, q, "coupling identity", True, reduced_form_identity(cls.ctype, q))
-                got = canonical_invariants(invariant_factors(reduced_torus_matrix(cls.ctype, q)))
+                got = _smith_chain(reduced_torus_matrix(cls.ctype, q))
                 yield Check(cls, q, "reduced matrix", want, got)
+
+
+def _smith_chain(m) -> tuple[int, ...]:
+    """The invariant factors of a matrix route above 1: its divisor
+    chain with the trivial factors dropped, as the closed form's is."""
+    return tuple(x for x in invariant_factors(m) if x > 1)
 
 
 # ---------------------------------------------------------------------------

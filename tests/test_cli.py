@@ -136,6 +136,31 @@ class TestStructure:
             assert res.returncode == 2, args
             assert "degree" in res.stderr and "Traceback" not in res.stderr
 
+    def test_q_past_int_text_limit(self):
+        # q = 10^1500 + 1 is read, and the order q^3 - 1, 4,501 digits
+        # and past Python's default int-to-str limit, is printed (digits
+        # written out, since this process keeps the limit)
+        q = "1" + "0" * 1499 + "1"
+        res = run("structure", "--type", "3", "--q", q, timeout=60)
+        assert res.returncode == 0, res.stderr[-300:]
+        order = "1" + "0" * 1499 + "3" + "0" * 1499 + "3" + "0" * 1500
+        assert len(order) == 4501
+        assert f"\norders: {order}\n" in res.stdout
+        assert res.stdout.endswith("verdict: MATCH\n")
+
+    def test_refuses_a_check_past_the_degree_limit(self):
+        # the lattice check grows as l^3; above the limit structure --q
+        # refuses before it builds anything, and without --q it runs
+        start = time.perf_counter()
+        res = run("structure", "--type", "65", "--q", "3", timeout=30)
+        assert time.perf_counter() - start < 1
+        assert res.returncode == 2
+        assert "type 65 has degree 65, above 64" in res.stderr
+        assert res.stdout == ""
+        res = run("structure", "--type", "3000")
+        assert res.returncode == 0
+        assert res.stdout.endswith("structure: Z_{q^1500+1} x Z_{q^1500-1}\n")
+
     def test_bad_type_literal(self):
         # the usage printed is the subcommand's, not the top level's
         for literal in ("2,x", "0"):
@@ -190,6 +215,17 @@ class TestTable:
         assert len(data) == 13
         splits = [e["type"] for e in data if e["split"]]
         assert splits == ["2,2", "2,2", "4", "4"]
+
+    def test_refuses_a_table_past_the_limit(self):
+        # l = 32 has 1,046,936 classes of both forms; the count is taken
+        # with none built, so the refusal is immediate
+        for extra in ((), ("--format", "json")):
+            start = time.perf_counter()
+            res = run("table", "--l", "32", "--form", "plus", *extra, timeout=30)
+            assert time.perf_counter() - start < 1
+            assert res.returncode == 2
+            assert "l = 32 has 1,046,936 classes of both forms, above the limit of 1,000,000" in res.stderr
+            assert res.stdout == ""
 
 
 class TestVerify:

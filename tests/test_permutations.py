@@ -81,6 +81,16 @@ class TestCycleType:
         with pytest.raises(ValueError):
             SignedCycleType.parse("")
 
+    def test_rejects_degree_one(self):
+        # the one place the degree rule is kept: every class function
+        # that takes a type or class relies on it
+        for parts in ((1,), (-1,)):
+            with pytest.raises(ValueError, match="has degree 1, below 2"):
+                SignedCycleType(parts)
+        with pytest.raises(ValueError, match="degree"):
+            TorusClass.parse("-1")
+        assert SignedCycleType((2,)).degree == SignedCycleType((-1, 1)).degree == 2
+
     def test_form_follows_negative_count(self):
         assert SignedCycleType((2, -1, -1)).form == FORM_PLUS
         assert SignedCycleType((2, -2)).form == FORM_MINUS

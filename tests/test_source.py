@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -208,3 +209,25 @@ def test_xgcd_has_one_library_caller():
     # every clearing below a pivot in the witness path, in the Hermite
     # form, the pivot loop and the divisibility repair, is one row step
     assert library_callers("xgcd") == {"smith.py:_clear_below"}
+
+
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+
+
+def test_unregistered_marker_is_refused(tmp_path):
+    # a mistyped marker must not pass as a test without its marker;
+    # under this pytest it is refused through ``filterwarnings = error``,
+    # whatever ``--strict-markers`` in ``addopts`` does
+    body = "import pytest\n\n\n@pytest.mark.{}\ndef test_x():\n    pass\n"
+    results = {}
+    for marker in ("slwo", "slow"):
+        path = tmp_path / f"test_{marker}.py"
+        path.write_text(body.format(marker))
+        results[marker] = subprocess.run(
+            [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
+             "--rootdir", str(tmp_path), "-m", "slow or not slow", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+    assert results["slow"].returncode == 0, results["slow"].stdout[-500:]
+    assert results["slwo"].returncode != 0
+    assert "Unknown pytest.mark.slwo" in results["slwo"].stdout
