@@ -54,6 +54,12 @@ MAX_VERIFY_PAIRS = 1_000_000
 # q = 2^61 - 1 the checks of twelve 3s and fourteen -2s take 0.8 s
 # together on 2 vCPUs
 MAX_CHECK_DEGREE = 64
+# The largest check at a given q, as max(l, 6)^2 bits(q), for structure
+# and for verify at its --l-max: the degree bound alone let a check grow
+# with the bits of q (degree 64 at a 200-digit q took 58 s).  At the
+# limit degree 64 takes q below 2^64, degree 16 q below 2^1024, and a
+# degree of at most 6 q of up to 7,281 bits
+MAX_CHECK_SIZE = 2**18
 
 # Rows whose published value is known to disagree with both computation
 # routes, keyed by (degree, form, parts).  The table command marks them.
@@ -102,6 +108,16 @@ def _warn_composite_q(q: int) -> None:
         print(f"note: q={q} is not a prime power; orders are formal values", file=sys.stderr)
 
 
+def _refuse_large_check(args, l: int, q: int) -> None:
+    """A usage error, before any class is built, when checks of degree
+    l at q measure more than MAX_CHECK_SIZE."""
+    if (size := max(l, 6) ** 2 * q.bit_length()) > MAX_CHECK_SIZE:
+        args.parser.error(
+            f"degree {l} at a {q.bit_length():,}-bit q is too large a check: "
+            f"max(l, 6)^2 * bits(q) = {size:,}, above the limit of {MAX_CHECK_SIZE:,}"
+        )
+
+
 def _cmd_enumerate(args) -> int:
     count = 0
     for count, cls in enumerate(iter_classes(args.l, args.form), 1):
@@ -120,6 +136,8 @@ def _cmd_structure(args) -> int:
             f"type {cls.literal()} has degree {cls.ctype.degree}, above {MAX_CHECK_DEGREE}, "
             f"the largest checked at a given --q; without --q the closed form is printed"
         )
+    if args.q is not None:
+        _refuse_large_check(args, cls.ctype.degree, args.q)
     dec = closed_form_decomposition(cls)
     checks = []
     if args.q is not None:
@@ -198,6 +216,7 @@ def _cmd_verify(args) -> int:
                 f"{' alone' if l < args.l_max else ''} has {counted:,} classes, "
                 f"{pairs:,} (class, q) pairs, above the limit of {MAX_VERIFY_PAIRS:,}"
             )
+    _refuse_large_check(args, args.l_max, max(args.q))
     for q in args.q:
         _warn_composite_q(q)
 

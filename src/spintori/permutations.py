@@ -23,6 +23,7 @@ all-even type labels two distinct classes, tagged '+' and '-'.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,9 +69,7 @@ class SignedCycleType:
             raise ValueError("empty cycle type")
         if any(not isinstance(p, int) or p == 0 for p in self.parts):
             raise ValueError(f"parts must be nonzero integers: {self.parts!r}")
-        pos = sorted((p for p in self.parts if p > 0), reverse=True)
-        neg = sorted((p for p in self.parts if p < 0), key=abs, reverse=True)
-        object.__setattr__(self, "parts", tuple(pos) + tuple(neg))
+        object.__setattr__(self, "parts", tuple(sorted(self.parts, key=lambda p: (p < 0, -abs(p)))))
         if self.parts in ((1,), (-1,)):
             raise ValueError(f"type {self.literal()} has degree 1, below 2")
 
@@ -235,6 +234,12 @@ def iter_classes(l: int, form: str) -> Iterator[TorusClass]:
     and the negated lengths (descending tuple), and '+' before '-' for
     a split pair.  Only one partition's sign choices are held at a time.
 
+    Sign choices are vectors of negation counts per distinct length,
+    longest first.  ``itertools.product`` yields them in lexicographic
+    order, and a stable sort by count keeps it.  At equal count that is
+    the order of the negated lengths: where two vectors first differ,
+    the smaller negates fewer of that length and a shorter one instead.
+
     >>> [c.literal() for c in iter_classes(3, "minus")]
     ['1,1,-1', '-1,-1,-1', '2,-1', '1,-2', '-3']
     """
@@ -242,17 +247,11 @@ def iter_classes(l: int, form: str) -> Iterator[TorusClass]:
         raise ValueError(f"degree must be at least 2, got {l}")
     parity = (1 - form_sign(form)) // 2  # of the number of negated parts
     for partition in _partitions(l):
-        distinct = sorted(set(partition), reverse=True)
-        counts = [partition.count(d) for d in distinct]
-        choices = []
-        for negs in itertools.product(*(range(c + 1) for c in counts)):
-            if sum(negs) % 2 == parity:
-                negated = tuple(d for d, k in zip(distinct, negs) for _ in range(k))
-                choices.append((len(negated), negated, negs))
-        choices.sort()
-        for _, negated, negs in choices:
-            kept = tuple(d for d, c, k in zip(distinct, counts, negs) for _ in range(c - k))
-            cls = TorusClass(SignedCycleType(kept + tuple(-d for d in negated)))
+        runs = Counter(partition).items()  # (length, count), longest first
+        choices = itertools.product(*(range(c + 1) for _, c in runs))
+        for negs in sorted((v for v in choices if sum(v) % 2 == parity), key=sum):
+            parts = [-d if i < k else d for (d, c), k in zip(runs, negs) for i in range(c)]
+            cls = TorusClass(SignedCycleType(tuple(parts)))
             yield cls
             if cls.split:
                 yield TorusClass(cls.ctype, "-")

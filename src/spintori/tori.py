@@ -43,12 +43,6 @@ __all__ = [
 Factor = tuple[tuple[int, int], ...]
 
 
-def _factor(*terms: tuple[int, int]) -> Factor:
-    """A factor of several terms, by descending exponent, q^a - 1
-    before q^a + 1 at equal exponent."""
-    return tuple(sorted(terms, reverse=True))
-
-
 @dataclass(frozen=True)
 class TorusDecomposition:
     """The closed-form case of a class and its factor list.
@@ -102,6 +96,15 @@ def _standard(lengths, signs, *skip) -> tuple[Factor, ...]:
     return tuple(((a, eps),) for k, (a, eps) in pairs if k not in skip)
 
 
+def _composite(case: str, lengths, signs, i: int, j: int) -> TorusDecomposition:
+    """Case ``case`` with the composite factor (q^a - eps)(q^b + 1) of
+    part i (length a, sign eps) and negated part j (length b) first,
+    its terms by descending exponent and q^a - 1 before q^a + 1 at
+    equal exponent, and every other part standard."""
+    head = tuple(sorted(((lengths[i], signs[i]), (lengths[j], -1)), reverse=True))
+    return TorusDecomposition(case, (head,) + _standard(lengths, signs, i, j))
+
+
 def two_part(n: int) -> int:
     """Largest power of two dividing n.
 
@@ -130,18 +133,14 @@ def closed_form_decomposition(tau) -> TorusDecomposition:
     pos_odd, neg_odd, neg_even = _sides(lengths, signs)
 
     if pos_odd and neg_odd:
-        i, j = _choose(pos_odd), _choose(neg_odd)
-        head = _factor((lengths[i], 1), (lengths[j], -1))
-        return TorusDecomposition("i", (head,) + _standard(lengths, signs, i, j))
+        return _composite("i", lengths, signs, _choose(pos_odd), _choose(neg_odd))
 
     if (pos_odd or neg_odd) and neg_even:
-        i, j = _choose(pos_odd or neg_odd), _choose(neg_even)
-        head = _factor((lengths[i], signs[i]), (lengths[j], -1))
-        return TorusDecomposition("ii", (head,) + _standard(lengths, signs, i, j))
+        return _composite("ii", lengths, signs, _choose(pos_odd or neg_odd), _choose(neg_even))
 
     if ctype.is_split_eligible():
-        least = min(two_part(a) for a in lengths)
-        i = _choose([(k, a) for k, a in enumerate(lengths) if two_part(a) == least])
+        # least 2-part, then least length; min keeps the earliest index
+        i = min(range(len(lengths)), key=lambda k: (two_part(lengths[k]), lengths[k]))
         half = lengths[i] // 2
         halves = (((half, 1),), ((half, -1),))
         return TorusDecomposition("iii", halves + _standard(lengths, signs, i))
@@ -167,9 +166,7 @@ def alternative_decomposition(tau, q: int) -> TorusDecomposition | None:
     if not (pos_odd and neg_odd and neg_even):
         return None
     t = _choose(pos_odd) if q % 4 == 1 else _choose(neg_odd)
-    k = _choose(neg_even)
-    composite = _factor((lengths[t], signs[t]), (lengths[k], -1))
-    return TorusDecomposition("i", (composite,) + _standard(lengths, signs, t, k))
+    return _composite("i", lengths, signs, t, _choose(neg_even))
 
 
 def torus_order(tau, q: int) -> int:
@@ -319,22 +316,22 @@ def embeds(sub: tuple[int, ...], big: tuple[int, ...]) -> bool:
 
 
 def is_prime_power(n: int) -> bool:
-    """Whether n = p^k for a prime p and k >= 1.
+    """Whether n = p^k for a prime p and k >= 1, by ``_is_prime``, so
+    exact for n below 3.3 * 10^24, with no factorization.
 
-    Each integer k-th root of n, for k up to the bit length of n, is
-    tested for primality by ``_is_prime``, so the answer is exact for
-    n below 3.3 * 10^24 and never needs a factorization.
+    Roots are taken at prime exponents only, least first: a prime n
+    returns at once, and a k-th power n is replaced by its root, the
+    search going on from the same k, as no smaller prime is left.
 
     >>> [m for m in range(2, 20) if is_prime_power(m)]
     [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
     """
-    if n < 2:
-        return False
-    for k in range(1, n.bit_length() + 1):
-        root = _iroot(n, k)
-        if root**k == n and _is_prime(root):
-            return True
-    return False
+    k = 2
+    while n > 1 and not _is_prime(n):
+        exponents = (p for p in range(k, n.bit_length()) if _is_prime(p))
+        k = next((p for p in exponents if _iroot(n, p) ** p == n), 0)
+        n = _iroot(n, k) if k else 1
+    return n > 1
 
 
 def _iroot(n: int, k: int) -> int:

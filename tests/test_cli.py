@@ -161,6 +161,36 @@ class TestStructure:
         assert res.returncode == 0
         assert res.stdout.endswith("structure: Z_{q^1500+1} x Z_{q^1500-1}\n")
 
+    def test_refuses_a_check_past_the_size_limit_at_degree_64(self, monkeypatch, capsys):
+        # max(l, 6)^2 bits(q) <= 2^18: degree 64 takes a 61-bit q (the
+        # checks take about 1 s, so they are left out here), and at a
+        # 200-digit q (665 bits) is refused before anything is built
+        def skipped(classes, qs):
+            return (tori.Check(c, q, "lattice", (), ()) for c in classes for q in qs)
+
+        literal = "3," * 12 + ",".join(["-2"] * 14)
+        monkeypatch.setattr(cli, "sweep_checks", skipped)
+        assert cli.main(["structure", "--type", literal, "--q", str(2**61 - 1)]) == 0
+        assert capsys.readouterr().out.endswith("verdict: MATCH\n")
+        start = time.perf_counter()
+        res = run("structure", "--type", literal, "--q", "1" + "0" * 199 + "1", timeout=30)
+        assert time.perf_counter() - start < 1
+        assert res.returncode == 2
+        assert "degree 64 at a 665-bit q is too large a check" in res.stderr
+        assert "max(l, 6)^2 * bits(q) = 2,723,840, above the limit of 262,144" in res.stderr
+        assert res.stdout == ""
+
+    def test_refuses_a_check_past_the_size_limit_at_small_degree(self):
+        # below degree 6 the limit is that of degree 6, q of up to 7,281
+        # bits; the prime-power note grows with bits(q) at any degree
+        start = time.perf_counter()
+        res = run("structure", "--type", "3", "--q", "1" + "0" * 8729 + "1", timeout=30)
+        assert time.perf_counter() - start < 1
+        assert res.returncode == 2
+        assert "degree 3 at a 29,001-bit q is too large a check" in res.stderr
+        assert "max(l, 6)^2 * bits(q) = 1,044,036" in res.stderr
+        assert res.stdout == ""
+
     def test_bad_type_literal(self):
         # the usage printed is the subcommand's, not the top level's
         for literal in ("2,x", "0"):
@@ -334,6 +364,19 @@ class TestVerify:
         assert exc.value.code == 2
         assert "l = 2..21 has 115,514 classes" in capsys.readouterr().err
         assert cli.main(["verify", "--l-max", "21", "--q", "2,3,4,5,7,9,11,13"]) == 0
+
+    def test_refuses_a_check_past_the_size_limit(self):
+        # the limit of structure --q, taken at --l-max and the largest q
+        # before any class is built: degree 8 takes q up to 2^4096
+        res = run("verify", "--l-max", "2", "--q", str(2**61 - 1))
+        assert res.returncode == 0 and res.stdout.endswith("total: 12 checks, 0 failures\n")
+        start = time.perf_counter()
+        res = run("verify", "--l-max", "8", "--q", "3," + str(2**4096), timeout=30)
+        assert time.perf_counter() - start < 1
+        assert res.returncode == 2
+        assert "degree 8 at a 4,097-bit q is too large a check" in res.stderr
+        assert "max(l, 6)^2 * bits(q) = 262,208" in res.stderr
+        assert res.stdout == ""
 
     def test_rejects_bad_q_list(self):
         assert run("verify", "--l-max", "2", "--q", "2,x").returncode == 2

@@ -38,6 +38,23 @@ def random_element(rng, l):
     return tuple(rng.choice((1, -1)) * b for b in base)
 
 
+def generating_function_counts(l_max):
+    """Classes of each degree l <= l_max, both forms, with no library
+    code.  A signed cycle type is a pair of partitions (positive parts,
+    negated parts), counted by prod (1 - x^d)^-2; the all-even,
+    all-positive types of even degree l split in two, one more class
+    per partition of l/2."""
+    pairs = [1] + [0] * l_max
+    partitions = [1] + [0] * l_max
+    for d in range(1, l_max + 1):
+        for n in range(d, l_max + 1):
+            partitions[n] += partitions[n - d]
+        for _ in range(2):
+            for n in range(d, l_max + 1):
+                pairs[n] += pairs[n - d]
+    return [pairs[l] + (partitions[l // 2] if l % 2 == 0 else 0) for l in range(l_max + 1)]
+
+
 class TestOracleAlgebra:
     # the group law lives in the oracle; these pin it
 
@@ -184,23 +201,21 @@ class TestEnumeration:
         assert counts == {2: 6, 3: 10, 4: 22, 5: 36, 6: 68, 7: 110, 8: 190}
 
     def test_class_counts_match_generating_function(self):
-        # A signed cycle type is a pair of partitions (positive parts,
-        # negated parts), counted by prod (1 - x^d)^-2; the all-even,
-        # all-positive types of even degree l split in two, one more
-        # class per partition of l/2.
-        l_max = 16
-        pairs = [1] + [0] * l_max
-        partitions = [1] + [0] * l_max
-        for d in range(1, l_max + 1):
-            for n in range(d, l_max + 1):
-                partitions[n] += partitions[n - d]
-            for _ in range(2):
-                for n in range(d, l_max + 1):
-                    pairs[n] += pairs[n - d]
-        for l in range(2, l_max + 1):
-            want = pairs[l] + (partitions[l // 2] if l % 2 == 0 else 0)
-            got = len(enumerate_classes(l, FORM_PLUS)) + len(enumerate_classes(l, FORM_MINUS))
-            assert got == want, l
+        want = generating_function_counts(60)
+        for l in range(2, 21):
+            got = sum(1 for f in (FORM_PLUS, FORM_MINUS) for _ in iter_classes(l, f))
+            assert got == want[l], l
+        # the count verify and table make, past any degree enumerated here
+        assert [class_count(l) for l in range(2, 61)] == want[2:]
+
+    @pytest.mark.slow
+    def test_class_counts_match_generating_function_to_thirty(self):
+        # 2,148,714 classes, streamed; 589,304 of them have degree 30
+        want = generating_function_counts(30)
+        for l in range(21, 31):
+            got = sum(1 for f in (FORM_PLUS, FORM_MINUS) for _ in iter_classes(l, f))
+            assert got == want[l], l
+        assert sum(want[21:]) == 2_148_714 and want[30] == 589_304
 
     def test_class_count_without_building_classes(self):
         # the count ``verify`` makes before it sweeps
@@ -239,7 +254,7 @@ class TestEnumeration:
             unsigned = tuple(sorted(t.lengths, reverse=True))
             return (unsigned, t.num_negative, negated, 0 if cls.split != "-" else 1)
 
-        for l in range(2, 17):
+        for l in range(2, 21):
             classes = enumerate_classes(l, form)
             assert type(classes) is list
             assert len(set(classes)) == len(classes), l

@@ -358,6 +358,26 @@ class TestNumberTheory:
         assert not is_prime_power(m31 * m61)
         assert not is_prime_power(m61**2 * 2)
 
+    def test_is_prime_power_against_trial_division(self):
+        def reference(n):
+            p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+            while n % p == 0:
+                n //= p
+            return n == 1
+
+        want = [n for n in range(2, 20_000) if reference(n)]
+        assert [n for n in range(20_000) if is_prime_power(n)] == want
+
+    def test_is_prime_power_roots_at_prime_exponents_only(self, monkeypatch):
+        # 10^3000 + 1 has 9,966 bits, and below 10,000 there are 1,229
+        # primes, against 9,966 exponents
+        exponents = []
+        real = tori._iroot
+        monkeypatch.setattr(tori, "_iroot", lambda n, k: exponents.append(k) or real(n, k))
+        assert not is_prime_power(10**3000 + 1)
+        assert 0 < len(exponents) <= 1_229
+        assert all(k % d for k in exponents for d in range(2, math.isqrt(k) + 1))
+
 
 class TestRendering:
     def test_symbolic_strings(self):
