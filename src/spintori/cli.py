@@ -49,16 +49,13 @@ FORM_SIGIL = {FORM_PLUS: "+", FORM_MINUS: "-"}
 # The largest verify sweep, in (class, q) pairs, and the largest table,
 # in classes of both forms: l <= 13 at ten q is 49,280 pairs, about 10 s
 MAX_VERIFY_PAIRS = 1_000_000
-# The highest degree structure checks at a given --q: the lattice check
-# costs l^3 steps on entries of l bits(q) bits; at l = 64 and
-# q = 2^61 - 1 the checks of twelve 3s and fourteen -2s take 0.8 s
-# together on 2 vCPUs
+# The highest degree checked at a given q: the lattice check costs l^3
+# steps, and a size rule alone would admit l = 256 at q = 13 (4 s)
 MAX_CHECK_DEGREE = 64
-# The largest check at a given q, as max(l, 6)^2 bits(q), for structure
-# and for verify at its --l-max: the degree bound alone let a check grow
-# with the bits of q (degree 64 at a 200-digit q took 58 s).  At the
-# limit degree 64 takes q below 2^64, degree 16 q below 2^1024, and a
-# degree of at most 6 q of up to 7,281 bits
+# The largest check at a given q, as max(l, 9)^2 bits(q), which also
+# bounds the composite-q note (13 modular powers on a prime q): degree
+# 64 takes q below 2^64, degree 16 q below 2^1024, and a degree of at
+# most 9 q of up to 3,236 bits
 MAX_CHECK_SIZE = 2**18
 
 # Rows whose published value is known to disagree with both computation
@@ -99,22 +96,34 @@ def _report_entry(cls: TorusClass, dec: TorusDecomposition, checks=()) -> dict:
     return entry
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _warn_composite_q(q: int) -> None:
-    if not is_prime_power(q):
-        print(f"note: q={q} is not a prime power; orders are formal values", file=sys.stderr)
-
-
-def _refuse_large_check(args, l: int, q: int) -> None:
+def _admit_checks(args, l: int, qs: list[int]) -> None:
     """A usage error, before any class is built, when checks of degree
-    l at q measure more than MAX_CHECK_SIZE."""
-    if (size := max(l, 6) ** 2 * q.bit_length()) > MAX_CHECK_SIZE:
+    up to l at the q of qs pass either limit; then the note on each q
+    that is not a prime power, which the size limit bounds too."""
+    if l > MAX_CHECK_DEGREE:
         args.parser.error(
-            f"degree {l} at a {q.bit_length():,}-bit q is too large a check: "
-            f"max(l, 6)^2 * bits(q) = {size:,}, above the limit of {MAX_CHECK_SIZE:,}"
+            f"degree {l} is too large a check: l = {l}, above the limit of {MAX_CHECK_DEGREE}"
+        )
+    bits = max(qs).bit_length()
+    if (size := max(l, 9) ** 2 * bits) > MAX_CHECK_SIZE:
+        args.parser.error(
+            f"degree {l} at a {bits:,}-bit q is too large a check: "
+            f"max(l, 9)^2 * bits(q) = {size:,}, above the limit of {MAX_CHECK_SIZE:,}"
+        )
+    for q in qs:
+        if not is_prime_power(q):
+            print(f"note: q={q} is not a prime power; orders are formal values", file=sys.stderr)
+
+
+def _print_failures(checks) -> None:
+    """A line on stderr for each failed check, ending with the command
+    that reruns every check of its class at its q."""
+    for c in (c for c in checks if not c.ok):
+        literal = c.cls.literal()
+        print(
+            f"FAIL {c.route} for {literal} at q={c.q}: want {c.want}, got {c.got}; "
+            f"replay: spintori structure --type={literal} --q {c.q}",
+            file=sys.stderr,
         )
 
 
@@ -131,28 +140,20 @@ def _cmd_structure(args) -> int:
         cls = TorusClass.parse(args.type)
     except ValueError as exc:
         args.parser.error(str(exc))
-    if args.q is not None and cls.ctype.degree > MAX_CHECK_DEGREE:
-        args.parser.error(
-            f"type {cls.literal()} has degree {cls.ctype.degree}, above {MAX_CHECK_DEGREE}, "
-            f"the largest checked at a given --q; without --q the closed form is printed"
-        )
     if args.q is not None:
-        _refuse_large_check(args, cls.ctype.degree, args.q)
+        _admit_checks(args, cls.ctype.degree, [args.q])
     dec = closed_form_decomposition(cls)
     checks = []
     if args.q is not None:
-        _warn_composite_q(args.q)
         checks = list(sweep_checks([cls], [args.q]))
         order = prod(dec.orders(args.q))
         checks.append(Check(cls, args.q, "order law", torus_order(cls, args.q), order))
-        for c in (c for c in checks if not c.ok):
-            msg = f"FAIL {c.route} for {cls.literal()} at q={args.q}: want {c.want}, got {c.got}"
-            print(msg, file=sys.stderr)
+        _print_failures(checks)
 
     entry = _report_entry(cls, dec, checks)
     ok = all(c.ok for c in checks)
     if args.format == "json":
-        _emit_json(entry)
+        sys.stdout.write(json.dumps(entry, indent=2) + "\n")
         return 0 if ok else 1
 
     print(f"type: {cls.literal()}")
@@ -179,8 +180,13 @@ def _cmd_table(args) -> int:
         )
     classes = iter_classes(args.l, args.form)
 
-    if args.format == "json":
-        _emit_json([_report_entry(cls, closed_form_decomposition(cls)) for cls in classes])
+    if args.format == "json":  # streamed, in the bytes of json.dumps(list, indent=2)
+        sep = "[\n"
+        for cls in classes:
+            record = json.dumps(_report_entry(cls, closed_form_decomposition(cls)), indent=2)
+            sys.stdout.write(sep + "  " + record.replace("\n", "\n  "))
+            sep = ",\n"
+        sys.stdout.write("\n]\n")
         return 0
 
     rows = []
@@ -216,9 +222,7 @@ def _cmd_verify(args) -> int:
                 f"{' alone' if l < args.l_max else ''} has {counted:,} classes, "
                 f"{pairs:,} (class, q) pairs, above the limit of {MAX_VERIFY_PAIRS:,}"
             )
-    _refuse_large_check(args, args.l_max, max(args.q))
-    for q in args.q:
-        _warn_composite_q(q)
+    _admit_checks(args, args.l_max, args.q)
 
     failures = []
     total = 0
@@ -234,13 +238,7 @@ def _cmd_verify(args) -> int:
                 failures.append(c)
         total += count
         print(f"l={l}: {count} checks, {len(failures) - failed_before} failures")
-    for c in failures:
-        ctype = c.cls.ctype
-        print(
-            f"FAIL l={ctype.degree} form={FORM_SIGIL[ctype.form]} type={c.cls.literal()} "
-            f"q={c.q}: {c.route}; replay: spintori structure --type={c.cls.literal()} --q {c.q}",
-            file=sys.stderr,
-        )
+    _print_failures(failures)
     print(f"total: {total} checks, {len(failures)} failures")
     return 1 if failures else 0
 
@@ -309,9 +307,11 @@ def _at_least_two(text: str) -> int:
 
 def _q_list(text: str) -> list[int]:
     qs = [_at_least_two(tok) for tok in text.split(",")]
-    for i, q in enumerate(qs):
-        if q in qs[:i]:
+    seen = set()
+    for q in qs:
+        if q in seen:
             raise argparse.ArgumentTypeError(f"q = {q} is given more than once")
+        seen.add(q)
     return qs
 
 

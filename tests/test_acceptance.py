@@ -41,9 +41,10 @@ def sweep():
     return list(sweep_checks(classes, SWEEP_QS))
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=60):
     return subprocess.run(
-        [sys.executable, "-m", "spintori", *args], capture_output=True, text=True
+        [sys.executable, "-m", "spintori", *args], capture_output=True, text=True,
+        timeout=timeout,
     )
 
 

@@ -1,8 +1,11 @@
 import json
+import math
+import os
 import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from spintori import TorusClass, cli, format_matrix_text, tori, torus_matrix
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run(*args, stdin=None, timeout=None):
+def run(*args, stdin=None, timeout=60):
     return subprocess.run(
         [sys.executable, "-m", "spintori", *args],
         capture_output=True,
@@ -137,13 +140,14 @@ class TestStructure:
             assert "degree" in res.stderr and "Traceback" not in res.stderr
 
     def test_q_past_int_text_limit(self):
-        # q = 10^1500 + 1 is read, and the order q^3 - 1, 4,501 digits
-        # and past Python's default int-to-str limit, is printed (digits
-        # written out, since this process keeps the limit)
-        q = "1" + "0" * 1499 + "1"
-        res = run("structure", "--type", "3", "--q", q, timeout=60)
+        # q = 10^500 + 1, a check of size 81 * 1,661 = 134,541, is read,
+        # and the order q^9 - 1, 4,501 digits and past Python's default
+        # int-to-str limit, is printed (digits written out, since this
+        # process keeps the limit)
+        q = "1" + "0" * 499 + "1"
+        res = run("structure", "--type", "9", "--q", q)
         assert res.returncode == 0, res.stderr[-300:]
-        order = "1" + "0" * 1499 + "3" + "0" * 1499 + "3" + "0" * 1500
+        order = "1" + "".join(str(math.comb(9, k)).zfill(500) for k in range(8, 0, -1)) + "0" * 500
         assert len(order) == 4501
         assert f"\norders: {order}\n" in res.stdout
         assert res.stdout.endswith("verdict: MATCH\n")
@@ -155,14 +159,14 @@ class TestStructure:
         res = run("structure", "--type", "65", "--q", "3", timeout=30)
         assert time.perf_counter() - start < 1
         assert res.returncode == 2
-        assert "type 65 has degree 65, above 64" in res.stderr
+        assert "degree 65 is too large a check: l = 65, above the limit of 64" in res.stderr
         assert res.stdout == ""
         res = run("structure", "--type", "3000")
         assert res.returncode == 0
         assert res.stdout.endswith("structure: Z_{q^1500+1} x Z_{q^1500-1}\n")
 
     def test_refuses_a_check_past_the_size_limit_at_degree_64(self, monkeypatch, capsys):
-        # max(l, 6)^2 bits(q) <= 2^18: degree 64 takes a 61-bit q (the
+        # max(l, 9)^2 bits(q) <= 2^18: degree 64 takes a 61-bit q (the
         # checks take about 1 s, so they are left out here), and at a
         # 200-digit q (665 bits) is refused before anything is built
         def skipped(classes, qs):
@@ -177,18 +181,18 @@ class TestStructure:
         assert time.perf_counter() - start < 1
         assert res.returncode == 2
         assert "degree 64 at a 665-bit q is too large a check" in res.stderr
-        assert "max(l, 6)^2 * bits(q) = 2,723,840, above the limit of 262,144" in res.stderr
+        assert "max(l, 9)^2 * bits(q) = 2,723,840, above the limit of 262,144" in res.stderr
         assert res.stdout == ""
 
     def test_refuses_a_check_past_the_size_limit_at_small_degree(self):
-        # below degree 6 the limit is that of degree 6, q of up to 7,281
+        # below degree 9 the limit is that of degree 9, q of up to 3,236
         # bits; the prime-power note grows with bits(q) at any degree
         start = time.perf_counter()
         res = run("structure", "--type", "3", "--q", "1" + "0" * 8729 + "1", timeout=30)
         assert time.perf_counter() - start < 1
         assert res.returncode == 2
         assert "degree 3 at a 29,001-bit q is too large a check" in res.stderr
-        assert "max(l, 6)^2 * bits(q) = 1,044,036" in res.stderr
+        assert "max(l, 9)^2 * bits(q) = 2,349,081" in res.stderr
         assert res.stdout == ""
 
     def test_bad_type_literal(self):
@@ -203,7 +207,10 @@ class TestStructure:
         rc = cli.main(["structure", "--type", "2,2", "--q", "3"])
         assert rc == 1
         out, err = capsys.readouterr()
-        assert "FAIL order law for 2,2:+ at q=3: want 0, got 64\n" in err
+        assert err == (
+            "FAIL order law for 2,2:+ at q=3: want 0, got 64; "
+            "replay: spintori structure --type=2,2:+ --q 3\n"
+        )
         assert out.endswith("verdict: MISMATCH\n")
 
     def test_order_law_failure_in_json(self, monkeypatch, capsys):
@@ -215,7 +222,10 @@ class TestStructure:
         data = json.loads(out)
         assert data["match"] is False
         assert data["invariants"] == data["oracle_invariants"] == [2, 4, 8]
-        assert err.splitlines() == ["FAIL order law for 2,2:+ at q=3: want 0, got 64"]
+        assert err.splitlines() == [
+            "FAIL order law for 2,2:+ at q=3: want 0, got 64; "
+            "replay: spintori structure --type=2,2:+ --q 3"
+        ]
 
     def test_composite_q_warns(self):
         res = run("structure", "--type", "1,1", "--q", "6")
@@ -245,6 +255,29 @@ class TestTable:
         assert len(data) == 13
         splits = [e["type"] for e in data if e["split"]]
         assert splits == ["2,2", "2,2", "4", "4"]
+
+    @pytest.mark.parametrize("form", ["plus", "minus"])
+    def test_streamed_json_is_the_whole_list_json(self, capsys, form):
+        # the records are written one by one, in the bytes json.dumps
+        # gives the whole list
+        for l in range(2, 11):
+            assert cli.main(["table", "--l", str(l), "--form", form, "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", l
+
+    def test_json_is_streamed_in_flat_memory(self, monkeypatch):
+        # l = 20 has 12,484 classes of the plus form; holding every
+        # record before printing peaks at 82 MiB under tracemalloc
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                rc = cli.main(["table", "--l", "20", "--form", "plus", "--format", "json"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rc == 0
+        assert peak < 8 * 2**20
 
     def test_refuses_a_table_past_the_limit(self):
         # l = 32 has 1,046,936 classes of both forms; the count is taken
@@ -289,11 +322,14 @@ class TestVerify:
             "total: 76 checks, 1 failures\n"
         )
         (line,) = err.splitlines()
-        assert line.startswith("FAIL l=3 form=- type=-1,-1,-1 q=3: lattice; replay: ")
+        assert line.startswith("FAIL lattice for -1,-1,-1 at q=3: want ")
+        assert line.endswith("; replay: spintori structure --type=-1,-1,-1 --q 3")
         replay = shlex.split(line.split("; replay: ")[1])
         assert replay[0] == "spintori"
         assert cli.main(replay[1:]) == 1
-        assert "verdict: MISMATCH\n" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "verdict: MISMATCH\n" in out
+        assert err == line + "\n"  # the replay names the failure in the same line
 
     @pytest.mark.parametrize(
         "route,target,breaker,literal",
@@ -323,12 +359,12 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out.endswith(" checks, 1 failures\n")
         (line,) = err.splitlines()
-        assert f" type={literal} q=3: {route}; replay: " in line
+        assert line.startswith(f"FAIL {route} for {literal} at q=3: want ")
         replay = shlex.split(line.split("; replay: ")[1])
         assert cli.main(replay[1:]) == 1
         out, err = capsys.readouterr()
         assert out.endswith("verdict: MISMATCH\n")
-        assert err.startswith(f"FAIL {route} for {literal} at q=3: ")
+        assert err == line + "\n"
         # the JSON verdict is the text one: every check, not the lattice alone
         assert cli.main(replay[1:] + ["--format", "json"]) == 1
         assert json.loads(capsys.readouterr().out)["match"] is False
@@ -367,7 +403,7 @@ class TestVerify:
 
     def test_refuses_a_check_past_the_size_limit(self):
         # the limit of structure --q, taken at --l-max and the largest q
-        # before any class is built: degree 8 takes q up to 2^4096
+        # before any class is built: degree 8 takes q up to 3,236 bits
         res = run("verify", "--l-max", "2", "--q", str(2**61 - 1))
         assert res.returncode == 0 and res.stdout.endswith("total: 12 checks, 0 failures\n")
         start = time.perf_counter()
@@ -375,7 +411,7 @@ class TestVerify:
         assert time.perf_counter() - start < 1
         assert res.returncode == 2
         assert "degree 8 at a 4,097-bit q is too large a check" in res.stderr
-        assert "max(l, 6)^2 * bits(q) = 262,208" in res.stderr
+        assert "max(l, 9)^2 * bits(q) = 331,857" in res.stderr
         assert res.stdout == ""
 
     def test_rejects_bad_q_list(self):
@@ -388,6 +424,64 @@ class TestVerify:
         assert res.returncode == 2
         assert "q = 3 is given more than once" in res.stderr
         assert res.stdout == ""
+
+    def test_long_q_list_is_read_in_linear_time(self, capsys):
+        # 50,000 distinct q are read and then refused by the pair limit;
+        # searching the earlier q for each one takes about 20 s
+        qs = ",".join(str(q) for q in range(2, 50_002))
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--l-max", "20", "--q", qs])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert "(class, q) pairs, above the limit of 1,000,000" in capsys.readouterr().err
+
+
+def _exit_code_and_stderr(argv, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "l,q,admitted",
+    [
+        (9, 2**3236 - 1, True),
+        (9, 2**3237 - 1, False),
+        (3, 2**3237 - 1, False),
+        (64, 2**64 - 1, True),
+        (64, 10**200 + 1, False),
+    ],
+    ids=["9-at-3236-bits", "9-at-3237-bits", "3-at-3237-bits", "64-at-64-bits", "64-at-665-bits"],
+)
+def test_structure_and_verify_admit_the_same_checks(monkeypatch, capsys, l, q, admitted):
+    # one rule decides for both commands: a class of degree l at q and a
+    # sweep to --l-max l at q are both admitted, with the same note on
+    # the composite q, or both refused with the same message (the
+    # checks are left out, one empty check of the first class standing
+    # in for them, and the pair limit is lifted so that verify reaches
+    # degree 64)
+    def skipped(classes, qs):
+        first = next(iter(classes))
+        return (tori.Check(first, q, "lattice", (), ()) for q in qs)
+
+    monkeypatch.setattr(cli, "sweep_checks", skipped)
+    monkeypatch.setattr(cli, "MAX_VERIFY_PAIRS", math.inf)
+    structure = _exit_code_and_stderr(["structure", "--type", str(l), "--q", str(q)], capsys)
+    verify = _exit_code_and_stderr(["verify", "--l-max", str(l), "--q", str(q)], capsys)
+    if admitted:
+        note = f"note: q={q} is not a prime power; orders are formal values\n"
+        assert structure == verify == (0, note)
+    else:
+        bits = q.bit_length()
+        message = (
+            f"error: degree {l} at a {bits:,}-bit q is too large a check: "
+            f"max(l, 9)^2 * bits(q) = {max(l, 9) ** 2 * bits:,}, above the limit of 262,144\n"
+        )
+        assert structure[0] == verify[0] == 2
+        assert structure[1].endswith(message) and verify[1].endswith(message)
 
 
 class TestSnf:

@@ -211,6 +211,24 @@ def test_xgcd_has_one_library_caller():
     assert library_callers("xgcd") == {"smith.py:_clear_below"}
 
 
+def test_check_front_end_has_one_rule_per_job():
+    # structure --q and verify admit their checks by one rule and write
+    # a failed check in one line, each from one function
+    for name in ("_admit_checks", "_print_failures"):
+        assert library_callers(name) == {"cli.py:_cmd_structure", "cli.py:_cmd_verify"}, name
+    path = Path(spintori.__file__).parent / "cli.py"
+    stack = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
+    fail_literals = []
+    while stack:
+        scope, node = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Constant) and "FAIL" in str(node.value):
+            fail_literals.append(scope)
+        stack += [(scope, child) for child in ast.iter_child_nodes(node)]
+    assert fail_literals == ["_print_failures"]
+
+
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
