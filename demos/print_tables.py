@@ -9,11 +9,9 @@ import sys
 from spintori import (
     FORM_MINUS,
     FORM_PLUS,
-    canonical_invariants,
     closed_form_decomposition,
     enumerate_classes,
-    invariant_factors,
-    torus_matrix,
+    sweep_checks,
 )
 
 l = int(sys.argv[1]) if len(sys.argv) > 1 else 4
@@ -22,9 +20,9 @@ q = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 for form in (FORM_PLUS, FORM_MINUS):
     print(f"degree {l}, form {form}")
     for cls in enumerate_classes(l, form):
-        dec = closed_form_decomposition(cls)
-        inv = canonical_invariants(dec.orders(q))
-        lattice = tuple(x for x in invariant_factors(torus_matrix(cls, q)) if x > 1)
-        ok = "ok" if inv == lattice else "XX"
-        print(f"  {cls.literal():<12} {dec.symbolic():<42} q={q}: {inv} {ok}")
+        # the closed form against the lattice SNF, as ``spintori verify`` checks it
+        check = next(c for c in sweep_checks([cls], [q]) if c.route == "lattice")
+        ok = "ok" if check.ok else "XX"
+        symbolic = closed_form_decomposition(cls).symbolic()
+        print(f"  {cls.literal():<12} {symbolic:<42} q={q}: {check.want} {ok}")
     print()

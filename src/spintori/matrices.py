@@ -22,9 +22,8 @@ Each check matrix is built in one pass, with no generic matrix product
 and no intermediate matrix, and the weight action W in one place only,
 ``_action_rows``: row i of q W is at most two constant runs and two
 tail entries, read off the images w(i) and w(i+1) and written by list
-repetition, with no arithmetic on each entry.  ``weight_action_matrix``
-is that builder at q = 1.  ``mat_mul``, the one generic product, is
-left for ``SnfResult.verify``.
+repetition, with no arithmetic on each entry; at q = 1 it is W itself.
+``mat_mul``, the one generic product, is left for ``SnfResult.verify``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .permutations import (
 
 __all__ = [
     "MatrixFormatError", "format_matrix_text", "parse_matrix_text", "reduced_form_identity",
-    "reduced_torus_matrix", "torus_matrix", "twist_factorization_check", "weight_action_matrix",
+    "reduced_torus_matrix", "torus_matrix", "twist_factorization_check",
 ]
 
 Matrix = list[list[int]]
@@ -112,7 +111,11 @@ def _action_rows(images: tuple[int, ...], q: int) -> Matrix:
     the sum for the last row.  Halved and times q, that is one side's
     +-q from the lower run start to the higher, their sum from there to
     column l - 3, and half the sum of the two tails, which is exact as
-    each tail entry is +-q.
+    each tail entry is +-q.  At q = 1 these are the rows of W, which is
+    S R S^-1 with R = ``permutation_matrix(images)``:
+
+    >>> _action_rows((2, 1, 3), 1)
+    [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]
     """
     l = len(images)
     if l < 2:
@@ -130,18 +133,6 @@ def _action_rows(images: tuple[int, ...], q: int) -> Matrix:
             a, b, u, v = b, a, v, u
         rows.append([0] * a + [u] * (b - a) + [u + v] * (body - b) + [(t0 + s0) >> 1, (t1 + s1) >> 1])
     return rows
-
-
-def weight_action_matrix(images: tuple[int, ...]) -> Matrix:
-    """The element's matrix on the fundamental-weight basis: S R S^-1,
-    with S the simple roots in the orthonormal basis and
-    R = ``permutation_matrix(images)``, built row by row in O(l^2) with
-    no matrix product.
-
-    >>> weight_action_matrix((2, 1, 3))
-    [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]
-    """
-    return _action_rows(images, 1)
 
 
 def torus_matrix(tau, q: int) -> Matrix:
@@ -179,9 +170,9 @@ def twist_factorization_check(ctype: SignedCycleType) -> bool:
         raise ValueError("check applies to odd types only")
     u = standard_representative(ctype)
     # d * u, d the last-point flip, sends l to u(-l) = -u(l)
-    m = weight_action_matrix(u[:-1] + (-u[-1],))
+    m = _action_rows(u[:-1] + (-u[-1],), 1)
     m[-2], m[-1] = m[-1], m[-2]  # C * m
-    return m == weight_action_matrix(u)
+    return m == _action_rows(u, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +267,8 @@ def reduced_torus_matrix(ctype: SignedCycleType, q: int) -> Matrix:
     for i in range(head):
         length, eps = lengths[i], signs[i]
         a = f * (eps * q + above[length])
-        num = (1 + f * eps) * q + (1 + f) * above[length]  # b = -num / 2
-        if num % 2:
-            raise ArithmeticError("coupling entry not even; block elimination broken")
+        # b = -num / 2, exact: 1 + f eps and 1 + f are each 0 or 2
+        num = (1 + f * eps) * q + (1 + f) * above[length]
         row = [0] * head + ([a, -(num // 2)] if m > 1 else [a - num // 2])
         row[i] = power[length] - eps
         out.append(row)

@@ -67,7 +67,7 @@ class SignedCycleType:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("empty cycle type")
-        if any(not isinstance(p, int) or p == 0 for p in self.parts):
+        if any(type(p) is not int or p == 0 for p in self.parts):  # bool is an int subclass
             raise ValueError(f"parts must be nonzero integers: {self.parts!r}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, key=lambda p: (p < 0, -abs(p)))))
         if self.parts in ((1,), (-1,)):

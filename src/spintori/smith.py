@@ -54,28 +54,9 @@ from math import gcd, lcm, prod
 
 from .matrices import mat_mul
 
-__all__ = ["SnfResult", "determinant", "invariant_factors", "smith_normal_form", "xgcd"]
+__all__ = ["SnfResult", "determinant", "invariant_factors", "smith_normal_form"]
 
 Matrix = list[list[int]]
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y == g == gcd(a, b) >= 0.
-
-    Read off ``math.gcd`` and a modular inverse, with no Python loop:
-    x is the inverse of a/g modulo |b|/g, taken in [0, |b|/g), and
-    y = (g - a x) / b exactly.  For b == 0 it is (|a|, +-1, 0).
-
-    >>> xgcd(3, 2)
-    (1, 1, -1)
-    >>> xgcd(0, -5)
-    (5, 0, -1)
-    """
-    if not b:
-        return abs(a), -1 if a < 0 else 1, 0
-    g = gcd(a, b)
-    x = pow(a // g, -1, abs(b) // g)
-    return g, x, (g - a * x) // b
 
 
 def determinant(a: Matrix) -> int:
@@ -182,8 +163,10 @@ def _clear_below(rows: Matrix, r: int, j: int) -> None:
             f = b // a
             rows[i] = [t - f * s for s, t in zip(top, row)]
         else:
-            # (top, row) <- (x top + y row, u top + v row), x v - y u = 1
-            g, x, y = xgcd(a, b)
+            # (top, row) <- (x top + y row, u top + v row), a x + b y = g, x v - y u = 1
+            g = gcd(a, b)
+            x = pow(a // g, -1, abs(b) // g)
+            y = (g - a * x) // b
             u, v = -(b // g), a // g
             rows[i] = [u * s + v * t for s, t in zip(top, row)]
             rows[r] = top = [x * s + y * t for s, t in zip(top, row)]

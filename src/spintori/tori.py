@@ -37,7 +37,7 @@ from .matrices import reduced_form_identity, reduced_torus_matrix, torus_matrix
 __all__ = [
     "Check", "TorusDecomposition", "alternative_decomposition", "canonical_invariants",
     "center_invariants", "closed_form_decomposition", "embeds", "is_prime_power",
-    "sweep_checks", "torus_order", "two_part",
+    "sweep_checks", "torus_order",
 ]
 
 Factor = tuple[tuple[int, int], ...]
@@ -105,19 +105,6 @@ def _composite(case: str, lengths, signs, i: int, j: int) -> TorusDecomposition:
     return TorusDecomposition(case, (head,) + _standard(lengths, signs, i, j))
 
 
-def two_part(n: int) -> int:
-    """Largest power of two dividing n.
-
-    >>> two_part(48)
-    16
-    >>> two_part(7)
-    1
-    """
-    if n <= 0:
-        raise ValueError("positive integers only")
-    return n & -n
-
-
 def closed_form_decomposition(tau) -> TorusDecomposition:
     """Route a class through the four closed-form shapes.
 
@@ -140,7 +127,7 @@ def closed_form_decomposition(tau) -> TorusDecomposition:
 
     if ctype.is_split_eligible():
         # least 2-part, then least length; min keeps the earliest index
-        i = min(range(len(lengths)), key=lambda k: (two_part(lengths[k]), lengths[k]))
+        i = min(range(len(lengths)), key=lambda k: (lengths[k] & -lengths[k], lengths[k]))
         half = lengths[i] // 2
         halves = (((half, 1),), ((half, -1),))
         return TorusDecomposition("iii", halves + _standard(lengths, signs, i))

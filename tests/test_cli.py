@@ -266,18 +266,19 @@ class TestTable:
             assert out == json.dumps(json.loads(out), indent=2) + "\n", l
 
     def test_json_is_streamed_in_flat_memory(self, monkeypatch):
-        # l = 20 has 12,484 classes of the plus form; holding every
-        # record before printing peaks at 82 MiB under tracemalloc
+        # l = 16 has 2,944 classes of the plus form; streamed, the table
+        # peaks under 1 MiB of tracemalloc, and holding every record
+        # before printing peaks at 17.7 MiB
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             tracemalloc.start()
             try:
-                rc = cli.main(["table", "--l", "20", "--form", "plus", "--format", "json"])
+                rc = cli.main(["table", "--l", "16", "--form", "plus", "--format", "json"])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert rc == 0
-        assert peak < 8 * 2**20
+        assert peak < 4 * 2**20
 
     def test_refuses_a_table_past_the_limit(self):
         # l = 32 has 1,046,936 classes of both forms; the count is taken

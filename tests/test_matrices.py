@@ -25,10 +25,10 @@ from spintori import (
     standard_representative,
     torus_matrix,
     torus_order,
-    weight_action_matrix,
 )
 from spintori import matrices
 from spintori.matrices import (
+    _action_rows,
     coupling_block,
     coupling_matrix,
     mat_mul,
@@ -177,7 +177,7 @@ class TestBasisMatrices:
     def test_weight_action_is_integral_and_unimodular(self):
         rng = random.Random(23)
         for _ in range(60):
-            m = weight_action_matrix(random_element(rng, 6))
+            m = _action_rows(random_element(rng, 6), 1)
             assert all(isinstance(x, int) for row in m for x in row)
             assert abs(determinant(m)) == 1
 
@@ -211,7 +211,7 @@ class TestDirectWeightAction:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(signed_permutations())
     def test_matches_dense_reference(self, w):
-        assert weight_action_matrix(w) == dense_weight_action(w)
+        assert _action_rows(w, 1) == dense_weight_action(w)
 
     def test_torus_matrix_matches_dense_reference(self):
         for l in range(2, 13):
@@ -229,11 +229,11 @@ class TestDirectWeightAction:
         cls = TorusClass.parse("3,-2,1")
         w = representative(cls)
         want_w, want_t = dense_weight_action(w), torus_matrix(cls, 5)
-        for m in (weight_action_matrix(w), torus_matrix(cls, 5)):
+        for m in (_action_rows(w, 1), torus_matrix(cls, 5)):
             for row in m:
                 row[:] = [7] * len(row)
             m.append([0] * 6)
-        assert weight_action_matrix(w) == want_w
+        assert _action_rows(w, 1) == want_w
         assert torus_matrix(cls, 5) == want_t
 
 
@@ -266,7 +266,7 @@ class TestTorusMatrix:
         with pytest.raises(ValueError):
             torus_matrix(SignedCycleType((1,)), 3)
         with pytest.raises(ValueError):
-            weight_action_matrix((-1,))
+            _action_rows((-1,), 1)
 
     def test_twist_factorization(self):
         for l in range(2, 9):

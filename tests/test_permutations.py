@@ -98,6 +98,12 @@ class TestCycleType:
         with pytest.raises(ValueError):
             SignedCycleType.parse("")
 
+    def test_rejects_bool_part(self):
+        # True is an int, but its literal "True,True" does not parse back
+        for parts in ((True, True), (3, -1, True)):
+            with pytest.raises(ValueError, match="parts must be nonzero integers"):
+                SignedCycleType(parts)
+
     def test_rejects_degree_one(self):
         # the one place the degree rule is kept: every class function
         # that takes a type or class relies on it

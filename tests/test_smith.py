@@ -19,7 +19,6 @@ from spintori import (
     reduced_torus_matrix,
     smith_normal_form,
     torus_matrix,
-    xgcd,
 )
 from spintori import smith
 from spintori.matrices import mat_mul
@@ -161,35 +160,6 @@ def cofactor_det(m):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * cofactor_det(minor)
     return total
-
-
-XGCD_OPERANDS = st.one_of(st.just(0), st.integers(-1000, 1000), st.integers(-(2**80), 2**80))
-
-
-class TestXgcd:
-    def test_known_values(self):
-        assert xgcd(3, 2) == (1, 1, -1)
-        assert xgcd(0, -5) == (5, 0, -1)
-        assert xgcd(0, 0)[0] == 0
-
-    def test_bezout_identity(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            a, b = rng.randint(-200, 200), rng.randint(-200, 200)
-            g, x, y = xgcd(a, b)
-            assert g == math.gcd(a, b)
-            assert a * x + b * y == g
-
-    @given(XGCD_OPERANDS, XGCD_OPERANDS, st.integers(1, 2**70))
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    def test_property(self, a, b, c):
-        # zero, negative and wider-than-64-bit operands, each pair also
-        # with a large common factor c
-        for a, b in ((a, b), (a * c, b * c)):
-            g, x, y = xgcd(a, b)
-            assert a * x + b * y == g == math.gcd(a, b) >= 0
-            if b:
-                assert abs(x) * g <= abs(b)
 
 
 class TestDeterminant:

@@ -3,11 +3,13 @@
 import ast
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import spintori
+from spintori import matrices, permutations, smith, tori
 
 SOURCE_FILES = sorted(Path(spintori.__file__).parent.glob("*.py"))
 
@@ -126,6 +128,40 @@ def _is_submodule(package: str, name: str) -> bool:
     return importlib.util.find_spec(f"{package}.{name}") is not None
 
 
+def test_every_export_has_a_user():
+    # an export that only its own module and the tests call is a helper
+    # that belongs in its caller: each name is named by another library
+    # module, imported by the benchmark or a demo, or named in backticks
+    # in the README
+    home = {name: mod.__name__ for mod in (permutations, matrices, smith, tori) for name in mod.__all__}
+    named_in = {}
+    for path in SOURCE_FILES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                named_in.setdefault(name, set()).add(f"spintori.{path.stem}")
+    imported = set()
+    for path in BENCHMARK_FILES + sorted((PERFBENCH.parent / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "spintori":
+                imported.update(alias.name for alias in node.names)
+    readme = (PERFBENCH.parent / "README.md").read_text()
+    documented = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
+    unused = [
+        name for name in spintori.__all__
+        if not named_in.get(name, set()) - {home[name]}
+        and name not in imported | documented
+    ]
+    assert unused == []
+
+
 def test_benchmark_makes_the_library_checks():
     # the sweep workload writes the route conditions out again, and the
     # benchmark compares its count with the ``total:`` line of ``spintori
@@ -166,7 +202,7 @@ def test_smith_routes_stay_apart():
     shared = [m for m in imported if {"tori", "permutations"} & set(m.split("."))]
     assert shared == []
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert {"determinant", "invariant_factors", "xgcd"} <= set(functions)
+    assert {"determinant", "invariant_factors"} <= set(functions)
     called = {
         call.func.id
         for call in ast.walk(functions["determinant"])
@@ -205,10 +241,10 @@ def test_mat_mul_has_one_library_caller():
     assert library_callers("mat_mul") == {"smith.py:SnfResult.verify"}
 
 
-def test_xgcd_has_one_library_caller():
+def test_clear_below_is_the_one_row_step():
     # every clearing below a pivot in the witness path, in the Hermite
     # form, the pivot loop and the divisibility repair, is one row step
-    assert library_callers("xgcd") == {"smith.py:_clear_below"}
+    assert library_callers("_clear_below") == {"smith.py:_hermite", "smith.py:smith_normal_form"}
 
 
 def test_check_front_end_has_one_rule_per_job():

@@ -26,7 +26,6 @@ from spintori import (
     tori,
     torus_matrix,
     torus_order,
-    two_part,
 )
 
 T = SignedCycleType.parse
@@ -337,12 +336,6 @@ class TestEmbeds:
 
 
 class TestNumberTheory:
-    def test_two_part(self):
-        assert two_part(48) == 16
-        assert two_part(7) == 1
-        with pytest.raises(ValueError):
-            two_part(0)
-
     def test_is_prime_power(self):
         assert [n for n in range(2, 20) if is_prime_power(n)] == [
             2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19,
