@@ -173,11 +173,12 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if (count := class_count(args.l)) > MAX_VERIFY_PAIRS:
-        args.parser.error(
-            f"--l {args.l} is too large a table: l = {args.l} has {count:,} classes "
-            f"of both forms, above the limit of {MAX_VERIFY_PAIRS:,}"
-        )
+    for l in range(2, args.l + 1):  # counts grow with l: stop at the first past the limit
+        if (count := class_count(l)) > MAX_VERIFY_PAIRS:
+            args.parser.error(
+                f"--l {args.l} is too large a table: l = {l}{' alone' if l < args.l else ''} "
+                f"has {count:,} classes of both forms, above the limit of {MAX_VERIFY_PAIRS:,}"
+            )
     classes = iter_classes(args.l, args.form)
 
     if args.format == "json":  # streamed, in the bytes of json.dumps(list, indent=2)

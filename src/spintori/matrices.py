@@ -179,38 +179,28 @@ def twist_factorization_check(ctype: SignedCycleType) -> bool:
 # block pipeline
 
 
-def coupling_block(length: int, eps: int, last_length: int, last_eps: int) -> Matrix:
-    """The correction block a part contributes opposite the final part.
-
-    First column is last_eps throughout; the last column gets
-    -(1 + last_eps)/2 on non-closing rows and -(eps + last_eps)/2 on
-    the closing row.  When the final part has length 1 the two columns
-    coincide and the contributions add, which reproduces all the
-    degenerate shapes.
-
-    >>> coupling_block(3, 1, 1, -1)   # single-column degenerate form
-    [[-1], [-1], [-1]]
-    >>> coupling_block(1, -1, 2, -1)  # single-row degenerate form
-    [[-1, 1]]
-    """
-    b = [[0] * last_length for _ in range(length)]
-    for i, row in enumerate(b):
-        row[0] += last_eps
-        row[-1] -= (1 + last_eps if i < length - 1 else eps + last_eps) // 2
-    return b
-
-
 def coupling_matrix(ctype: SignedCycleType) -> Matrix:
-    """Full l x l correction matrix: zero outside the final block-column,
-    into which each row of each part's ``coupling_block`` is written."""
-    lengths, signs = ctype.lengths, ctype.signs
-    last_len, last_eps = lengths[-1], signs[-1]
-    pad = [0] * (ctype.degree - last_len)
-    return [
-        pad + row
-        for length, eps in zip(lengths, signs)
-        for row in coupling_block(length, eps, last_len, last_eps)
-    ]
+    """Full l x l correction matrix, zero outside the block-column of
+    the final part (length m, sign last_eps), each row written once.
+    Column l - m is last_eps throughout; the last column gets
+    -(1 + last_eps)/2 on a part's non-closing rows and -(eps + last_eps)/2
+    on its closing row.  When m = 1 the two columns coincide and the
+    contributions add, which reproduces all the degenerate shapes.
+
+    >>> coupling_matrix(SignedCycleType((1, -2)))   # single-row block
+    [[0, -1, 0], [0, -1, 0], [0, -1, 1]]
+    >>> coupling_matrix(SignedCycleType((3, -1)))   # single-column block
+    [[0, 0, 0, -1], [0, 0, 0, -1], [0, 0, 0, -1], [0, 0, 0, 0]]
+    """
+    l, last_len, last_eps = ctype.degree, ctype.lengths[-1], ctype.signs[-1]
+    rows = []
+    for length, eps in zip(ctype.lengths, ctype.signs):
+        for i in range(length):
+            row = [0] * l
+            row[l - last_len] = last_eps
+            row[-1] -= (1 + last_eps if i < length - 1 else eps + last_eps) // 2
+            rows.append(row)
+    return rows
 
 
 def reduced_form_identity(ctype: SignedCycleType, q: int) -> bool:

@@ -18,9 +18,9 @@ A factor is the tuple of its terms (a, eps), each standing for
 q^a - eps, and a decomposition is its case and its factors.
 
 ``sweep_checks`` yields every comparison of the closed form with the
-other routes for any classes at any q: ``spintori verify`` passes every
-class of degree 2..l_max, and ``spintori structure --q`` the one class
-it is given, so any failed check replays.
+routes of ``ROUTES`` for any classes at any q: ``spintori verify``
+passes every class of degree 2..l_max, and ``spintori structure --q``
+the one class it is given, so any failed check replays.
 """
 
 from __future__ import annotations
@@ -68,8 +68,20 @@ class TorusDecomposition:
         return tuple(prod(q**a - eps for a, eps in f) for f in self.factors)
 
     def symbolic(self) -> str:
-        shown = sorted(map(_merge_terms, self.factors), key=_poly_key, reverse=True)
-        return " x ".join(f"Z_{{{_factor_body(f)}}}" for f in shown)
+        # the value at q = 8 sorts factors in polynomial order: a factor
+        # is x^a - e, x^(2a) - 1 or (x^a - e1)(x^b - e2) with a != b, so
+        # each coefficient is -1, 0 or 1; two factors differ by at most 2
+        # per coefficient, and 2 (8^k - 1) / 7 < 8^k, so the highest
+        # coefficient where they differ decides
+        shown = []
+        for f, _ in sorted(zip(self.factors, self.orders(8)), key=itemgetter(1), reverse=True):
+            a = f[0][0]
+            if f == ((a, 1), (a, -1)):  # the one merge: (q^a-1)(q^a+1) = q^(2a)-1
+                f = ((2 * a, 1),)
+            terms = [("q" if n == 1 else f"q^{n}") + ("-1" if e == 1 else "+1") for n, e in f]
+            body = terms[0] if len(terms) == 1 else "".join(f"({t})" for t in terms)
+            shown.append(f"Z_{{{body}}}")
+        return " x ".join(shown)
 
 
 def _choose(indexed: list[tuple[int, int]]) -> int:
@@ -218,15 +230,38 @@ class Check(NamedTuple):
         return self.want == self.got
 
 
+def _reduced(cls) -> bool:
+    """Whether the block-pipeline routes check a class: degree at most
+    6, split tag other than '-' and at least two parts."""
+    return cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
+
+
+def _alternative(cls, q, chain):
+    alt = alternative_decomposition(cls, q)
+    return None if alt is None else (chain, canonical_invariants(alt.orders(q)))
+
+
+# The routes the closed form is checked against, in the order a sweep
+# makes them: a name and a function from (class, q, the closed form's
+# divisor chain) to the check's (want, got), or None where the route
+# does not apply.  ``lattice`` stays first, as ``structure`` reports it.
+ROUTES = (
+    ("lattice", lambda cls, q, chain: (chain, _smith_chain(torus_matrix(cls, q)))),
+    ("alternative", _alternative),
+    ("coupling identity", lambda cls, q, chain: (
+        (True, reduced_form_identity(cls.ctype, q)) if _reduced(cls) else None)),
+    ("reduced matrix", lambda cls, q, chain: (
+        (chain, _smith_chain(reduced_torus_matrix(cls.ctype, q))) if _reduced(cls) else None)),
+)
+
+
 def sweep_checks(classes, qs) -> Iterator[Check]:
     """Every comparison of the closed form of each torus class in
     ``classes`` at each q in ``qs`` (any iterable, read once on
-    entry): the lattice SNF (route ``lattice``), the alternative
-    decomposition where one exists (``alternative``), and for l <= 6,
-    a class with at least two parts and split tag other than '-', the
-    basis-change identity (``coupling identity``, want True) and the
-    block-eliminated matrix (``reduced matrix``).  Checks come in the
-    order of the classes, then of ``qs``.
+    entry) with each route of ``ROUTES`` that applies: the lattice SNF,
+    the alternative decomposition, the basis-change identity (want
+    True) and the block-eliminated matrix.  Checks come in the order of
+    the classes, then of ``qs``, then of ``ROUTES``.
 
     The want of every check but the identity is the closed form's
     divisor chain, sifted by ``canonical_invariants``.  Both matrix
@@ -239,17 +274,11 @@ def sweep_checks(classes, qs) -> Iterator[Check]:
     qs = tuple(qs)
     for cls in classes:
         dec = closed_form_decomposition(cls)
-        reduced = cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
         for q in qs:
-            want = canonical_invariants(dec.orders(q))
-            yield Check(cls, q, "lattice", want, _smith_chain(torus_matrix(cls, q)))
-            alt = alternative_decomposition(cls, q)
-            if alt is not None:
-                yield Check(cls, q, "alternative", want, canonical_invariants(alt.orders(q)))
-            if reduced:
-                yield Check(cls, q, "coupling identity", True, reduced_form_identity(cls.ctype, q))
-                got = _smith_chain(reduced_torus_matrix(cls.ctype, q))
-                yield Check(cls, q, "reduced matrix", want, got)
+            chain = canonical_invariants(dec.orders(q))
+            for name, route in ROUTES:
+                if (pair := route(cls, q, chain)) is not None:
+                    yield Check(cls, q, name, *pair)
 
 
 def _smith_chain(m) -> tuple[int, ...]:
@@ -361,34 +390,3 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def _merge_terms(terms: Factor) -> Factor:
-    # a closed-form factor has at most two terms, so its one merge is
-    # (q^a-1)(q^a+1) = q^(2a)-1
-    a = terms[0][0]
-    return ((2 * a, 1),) if terms == ((a, 1), (a, -1)) else terms
-
-
-def _poly_key(terms) -> int:
-    # the value at q = 8 sorts factors in polynomial order: after
-    # _merge_terms a factor is x^a - e or (x^a - e1)(x^b - e2) with a != b,
-    # so each coefficient is -1, 0 or 1; two factors differ by at most 2
-    # per coefficient, and 2 (8^k - 1) / 7 < 8^k, so the highest
-    # coefficient where they differ decides
-    return prod(8**a - eps for a, eps in terms)
-
-
-def _term_body(a: int, eps: int) -> str:
-    base = "q" if a == 1 else f"q^{a}"
-    return f"{base}-1" if eps == 1 else f"{base}+1"
-
-
-def _factor_body(f: Factor) -> str:
-    if len(f) == 1:
-        return _term_body(*f[0])
-    return "".join(f"({_term_body(a, eps)})" for a, eps in f)

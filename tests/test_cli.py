@@ -281,14 +281,19 @@ class TestTable:
         assert peak < 4 * 2**20
 
     def test_refuses_a_table_past_the_limit(self):
-        # l = 32 has 1,046,936 classes of both forms; the count is taken
-        # with none built, so the refusal is immediate
-        for extra in ((), ("--format", "json")):
+        # l = 32 has 1,046,936 classes of both forms; the counts are taken
+        # with none built and stop at the first degree past the limit, so
+        # the refusal is immediate however large --l is
+        for l, extra in (("32", ()), ("32", ("--format", "json")), ("20000", ())):
             start = time.perf_counter()
-            res = run("table", "--l", "32", "--form", "plus", *extra, timeout=30)
+            res = run("table", "--l", l, "--form", "plus", *extra, timeout=30)
             assert time.perf_counter() - start < 1
             assert res.returncode == 2
-            assert "l = 32 has 1,046,936 classes of both forms, above the limit of 1,000,000" in res.stderr
+            alone = "" if l == "32" else " alone"
+            assert (
+                f"--l {l} is too large a table: l = 32{alone} has 1,046,936 classes "
+                "of both forms, above the limit of 1,000,000"
+            ) in res.stderr
             assert res.stdout == ""
 
 
@@ -369,6 +374,34 @@ class TestVerify:
         # the JSON verdict is the text one: every check, not the lattice alone
         assert cli.main(replay[1:] + ["--format", "json"]) == 1
         assert json.loads(capsys.readouterr().out)["match"] is False
+
+    @pytest.mark.parametrize("index", range(len(tori.ROUTES)), ids=[n for n, _ in tori.ROUTES])
+    def test_every_route_in_the_table_fails_and_replays(self, monkeypatch, capsys, index):
+        # give one route a wrong got for the first class it checks at
+        # q = 3, and for that class only; a route added to the table is
+        # covered here with no new test code
+        name, route = tori.ROUTES[index]
+        target = None
+
+        def broken(cls, q, chain):
+            nonlocal target
+            out = route(cls, q, chain)
+            if out is not None and q == 3 and target in (None, cls.literal()):
+                target = cls.literal()
+                return out[0], "wrong"
+            return out
+
+        routes = list(tori.ROUTES)
+        routes[index] = (name, broken)
+        monkeypatch.setattr(tori, "ROUTES", tuple(routes))
+        assert cli.main(["verify", "--l-max", "4", "--q", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith(" checks, 1 failures\n")
+        (line,) = err.splitlines()
+        assert line.startswith(f"FAIL {name} for {target} at q=3: want ")
+        replay = shlex.split(line.split("; replay: ")[1])
+        assert cli.main(replay[1:]) == 1
+        assert capsys.readouterr().err == line + "\n"
 
     def test_rejects_bad_degree(self):
         assert run("verify", "--l-max", "1").returncode == 2

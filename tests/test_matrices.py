@@ -29,7 +29,6 @@ from spintori import (
 from spintori import matrices
 from spintori.matrices import (
     _action_rows,
-    coupling_block,
     coupling_matrix,
     mat_mul,
     permutation_matrix,
@@ -287,12 +286,17 @@ class TestTorusMatrix:
 
 class TestBlockReduction:
     def test_coupling_block_degenerate_shapes(self):
-        assert coupling_block(3, 1, 1, -1) == [[-1], [-1], [-1]]
-        assert coupling_block(3, 1, 1, 1) == [[0], [0], [0]]
-        assert coupling_block(1, -1, 2, -1) == [[-1, 1]]
-        assert coupling_block(1, 1, 2, -1) == [[-1, 0]]
-        assert coupling_block(1, 1, 1, 1) == [[0]]
-        assert coupling_block(1, -1, 1, 1) == [[1]]
+        # the block the first part writes opposite the final part: the
+        # first part's rows, the final part's columns
+        for literal, block in [
+            ("3,-1", [[-1], [-1], [-1]]),
+            ("3,1", [[0], [0], [0]]),
+            ("1,-2", [[-1, 0]]),
+            ("1,1", [[0]]),
+        ]:
+            ct = SignedCycleType.parse(literal)
+            rows, width = ct.lengths[0], ct.lengths[-1]
+            assert [row[-width:] for row in coupling_matrix(ct)[:rows]] == block, literal
 
     def test_coupling_matrix_only_last_block_column(self):
         ct = SignedCycleType((2, -2, -1))

@@ -273,15 +273,16 @@ def test_unregistered_marker_is_refused(tmp_path):
     # under this pytest it is refused through ``filterwarnings = error``,
     # whatever ``--strict-markers`` in ``addopts`` does
     body = "import pytest\n\n\n@pytest.mark.{}\ndef test_x():\n    pass\n"
-    results = {}
     for marker in ("slwo", "slow"):
-        path = tmp_path / f"test_{marker}.py"
-        path.write_text(body.format(marker))
-        results[marker] = subprocess.run(
-            [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
-             "--rootdir", str(tmp_path), "-m", "slow or not slow", str(path)],
-            capture_output=True, text=True, timeout=60,
-        )
-    assert results["slow"].returncode == 0, results["slow"].stdout[-500:]
-    assert results["slwo"].returncode != 0
-    assert "Unknown pytest.mark.slwo" in results["slwo"].stdout
+        (tmp_path / f"test_{marker}.py").write_text(body.format(marker))
+    res = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
+         "--rootdir", str(tmp_path), "-m", "slow or not slow", "-rA",
+         "--continue-on-collection-errors", "test_slwo.py", "test_slow.py"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+    )
+    assert res.returncode != 0
+    assert "PASSED test_slow.py::test_x" in res.stdout, res.stdout[-500:]
+    assert "ERROR test_slwo.py" in res.stdout
+    assert "Unknown pytest.mark.slwo" in res.stdout
+    assert "1 passed, 1 error" in res.stdout
