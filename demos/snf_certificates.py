@@ -10,7 +10,7 @@ from spintori import (
     smith_normal_form,
     torus_matrix,
 )
-from spintori.matrices import mat_mul
+from spintori.smith import mat_mul
 
 a = torus_matrix(SignedCycleType.parse("2,-2"), 3)
 print("A =")

@@ -46,8 +46,8 @@ from .tori import (
 
 FORM_SIGIL = {FORM_PLUS: "+", FORM_MINUS: "-"}
 
-# The largest verify sweep, in (class, q) pairs, and the largest table,
-# in classes of both forms: l <= 13 at ten q is 49,280 pairs, about 10 s
+# The largest verify sweep, in (class, q) pairs, and the largest table
+# or list, in classes of both forms: l <= 13 at ten q is 49,280 pairs
 MAX_VERIFY_PAIRS = 1_000_000
 # The highest degree checked at a given q: the lattice check costs l^3
 # steps, and a size rule alone would admit l = 256 at q = 13 (4 s)
@@ -57,6 +57,9 @@ MAX_CHECK_DEGREE = 64
 # 64 takes q below 2^64, degree 16 q below 2^1024, and a degree of at
 # most 9 q of up to 3,236 bits
 MAX_CHECK_SIZE = 2**18
+# The most work in a sweep, pairs * max(l, 9)^2 bits(max q), which runs at
+# 4 to 5 million a second: l <= 13 at ten q is 4.2 * 10^7, 10 s; 2^31, 8 min
+MAX_VERIFY_WORK = 2**31
 
 # Rows whose published value is known to disagree with both computation
 # routes, keyed by (degree, form, parts).  The table command marks them.
@@ -85,7 +88,7 @@ def _report_entry(cls: TorusClass, dec: TorusDecomposition, checks=()) -> dict:
         "factors": [[list(t) for t in f] for f in dec.factors],
     }
     if checks:
-        lattice = checks[0]
+        lattice = next(c for c in checks if c.route == "lattice")
         entry.update(
             q=lattice.q,
             orders=list(dec.orders(lattice.q)),
@@ -96,10 +99,22 @@ def _report_entry(cls: TorusClass, dec: TorusDecomposition, checks=()) -> dict:
     return entry
 
 
-def _admit_checks(args, l: int, qs: list[int]) -> None:
+def _admit_listing(args, noun: str) -> None:
+    """A usage error, before any class is built, when a degree up to --l
+    has more classes of both forms than the limit; counts grow with l, so
+    the count stops at the first degree past it."""
+    for l in range(2, args.l + 1):
+        if (count := class_count(l)) > MAX_VERIFY_PAIRS:
+            args.parser.error(
+                f"--l {args.l} is too large a {noun}: l = {l}{' alone' if l < args.l else ''} "
+                f"has {count:,} classes of both forms, above the limit of {MAX_VERIFY_PAIRS:,}"
+            )
+
+
+def _admit_checks(args, l: int, qs: list[int], pairs: int) -> None:
     """A usage error, before any class is built, when checks of degree
-    up to l at the q of qs pass either limit; then the note on each q
-    that is not a prime power, which the size limit bounds too."""
+    up to l at the q of qs, in that many pairs, pass any limit; then the
+    note on each q that is not a prime power, which the size limit bounds."""
     if l > MAX_CHECK_DEGREE:
         args.parser.error(
             f"degree {l} is too large a check: l = {l}, above the limit of {MAX_CHECK_DEGREE}"
@@ -109,6 +124,11 @@ def _admit_checks(args, l: int, qs: list[int]) -> None:
         args.parser.error(
             f"degree {l} at a {bits:,}-bit q is too large a check: "
             f"max(l, 9)^2 * bits(q) = {size:,}, above the limit of {MAX_CHECK_SIZE:,}"
+        )
+    if (work := pairs * size) > MAX_VERIFY_WORK:
+        args.parser.error(
+            f"{pairs:,} (class, q) pairs of degree up to {l} at a {bits:,}-bit q are too much work: "
+            f"pairs * max(l, 9)^2 * bits(q) = {work:,}, above the limit of {MAX_VERIFY_WORK:,}"
         )
     for q in qs:
         if not is_prime_power(q):
@@ -128,6 +148,7 @@ def _print_failures(checks) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    _admit_listing(args, "list")
     count = 0
     for count, cls in enumerate(iter_classes(args.l, args.form), 1):
         print(cls.literal())
@@ -141,7 +162,7 @@ def _cmd_structure(args) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     if args.q is not None:
-        _admit_checks(args, cls.ctype.degree, [args.q])
+        _admit_checks(args, cls.ctype.degree, [args.q], 1)
     dec = closed_form_decomposition(cls)
     checks = []
     if args.q is not None:
@@ -173,12 +194,7 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    for l in range(2, args.l + 1):  # counts grow with l: stop at the first past the limit
-        if (count := class_count(l)) > MAX_VERIFY_PAIRS:
-            args.parser.error(
-                f"--l {args.l} is too large a table: l = {l}{' alone' if l < args.l else ''} "
-                f"has {count:,} classes of both forms, above the limit of {MAX_VERIFY_PAIRS:,}"
-            )
+    _admit_listing(args, "table")
     classes = iter_classes(args.l, args.form)
 
     if args.format == "json":  # streamed, in the bytes of json.dumps(list, indent=2)
@@ -223,7 +239,7 @@ def _cmd_verify(args) -> int:
                 f"{' alone' if l < args.l_max else ''} has {counted:,} classes, "
                 f"{pairs:,} (class, q) pairs, above the limit of {MAX_VERIFY_PAIRS:,}"
             )
-    _admit_checks(args, args.l_max, args.q)
+    _admit_checks(args, args.l_max, args.q, counted * len(args.q))
 
     failures = []
     total = 0
@@ -335,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="list torus classes", allow_abbrev=False)
     _add_degree(sp)
     _add_form(sp)
-    sp.set_defaults(func=_cmd_enumerate)
+    sp.set_defaults(func=_cmd_enumerate, parser=sp)
 
     sp = sub.add_parser("structure", help="closed form for one class", allow_abbrev=False)
     sp.add_argument("--type", required=True, help="signed cycle type, e.g. 1,-2,-1 or 2,2:-")

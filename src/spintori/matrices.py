@@ -23,7 +23,6 @@ and no intermediate matrix, and the weight action W in one place only,
 ``_action_rows``: row i of q W is at most two constant runs and two
 tail entries, read off the images w(i) and w(i+1) and written by list
 repetition, with no arithmetic on each entry; at q = 1 it is W itself.
-``mat_mul``, the one generic product, is left for ``SnfResult.verify``.
 """
 
 from __future__ import annotations
@@ -45,37 +44,6 @@ Matrix = list[list[int]]
 
 class MatrixFormatError(ValueError):
     """Malformed matrix text input."""
-
-
-# ---------------------------------------------------------------------------
-# generic product
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a b, over the nonzeros of both factors.
-
-    Each row of b is listed once as its (column, value) nonzeros; row i
-    of the product adds a[i][k] * y only there, for each nonzero a[i][k],
-    so a sparse factor costs only its nonzeros.  Rows may be tuples.
-    Every row of a needs len(b) entries, every row of b the same number.
-
-    >>> mat_mul([[0, 2], [1, 0]], [[1, 2, 3], [4, 5, 6]])
-    [[8, 10, 12], [1, 2, 3]]
-    """
-    k = len(b)
-    if not a or not k or any(len(row) != k for row in a) or len({len(row) for row in b}) != 1:
-        raise ValueError("shape mismatch in matrix product")
-    cols = len(b[0])
-    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, terms in zip(row, nonzeros):
-            if x:
-                for j, y in terms:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

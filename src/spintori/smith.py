@@ -34,25 +34,23 @@ Zurich, 2000): one column combination and one row combination put a
 unit at (0, 0) (``_stabilize``), and a unit step follows.  The last
 three rows are read off their determinantal divisors (Newman,
 Integral Matrices, 1972): d1 = gcd(R, entries) and d2 = gcd(R, 2 x 2
-minors) give the factors d1, d2 / d1 and R / d2.  Singular and
-non-square input, the only kind with a free part, goes through the
-witness path.
+minors) give the factors d1, d2 / d1 and R / d2.  Input with a free
+part, singular or non-square, is refused: it is the witness path's.
 
 ``determinant`` is an independent fraction-free elimination, kept
 deliberately separate from the SNF path so the two can cross-check
 each other; it calls no other function of this module.
-``invariant_factors`` takes its modulus from it.  A row that is zero
-in the pivot column is not touched at all: each row keeps the pivot it
-was last brought to, so the sparse lattice matrices cost far less than
-dense ones.
+``invariant_factors`` takes its modulus from it; the two paths share
+nothing else, and the module imports nothing from the package.  A row
+that is zero in the pivot column is not touched at all: each row keeps
+the pivot it was last brought to, so the sparse lattice matrices cost
+far less than dense ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-
-from .matrices import mat_mul
 
 __all__ = ["SnfResult", "determinant", "invariant_factors", "smith_normal_form"]
 
@@ -113,6 +111,33 @@ def determinant(a: Matrix) -> int:
                 level[i] = p
         prev = p
     return sign * (m[n - 1][n - 1] * prev // level[n - 1])
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, over the nonzeros of both factors.
+
+    Each row of b is listed once as its (column, value) nonzeros; row i
+    of the product adds a[i][k] * y only there, for each nonzero a[i][k],
+    so a sparse factor costs only its nonzeros.  Rows may be tuples.
+    Every row of a needs len(b) entries, every row of b the same number.
+
+    >>> mat_mul([[0, 2], [1, 0]], [[1, 2, 3], [4, 5, 6]])
+    [[8, 10, 12], [1, 2, 3]]
+    """
+    k = len(b)
+    if not a or not k or any(len(row) != k for row in a) or len({len(row) for row in b}) != 1:
+        raise ValueError("shape mismatch in matrix product")
+    cols = len(b[0])
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, terms in zip(row, nonzeros):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 @dataclass
@@ -320,9 +345,9 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 
 
 def invariant_factors(a: Matrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, trivial factors included.
+    """Smith form diagonal of a nonsingular square matrix, 1s included.
 
-    A nonsingular square matrix is eliminated modulo R, which starts at
+    The matrix is eliminated modulo R, which starts at
     D = |det a| and is divided by each invariant factor as it is found.
     The cokernel is unchanged by this, since D kills it, and every
     stored entry lies in [0, R), so no entry ever reaches D.
@@ -375,14 +400,14 @@ def invariant_factors(a: Matrix) -> tuple[int, ...]:
     >>> invariant_factors([[6, 0, 0, 0], [0, 6, 0, 0], [0, 0, 6, 0], [0, 0, 0, 12]])
     (6, 6, 6, 12)
 
-    Singular input takes the witness path:
+    A free part is refused; ``smith_normal_form`` keeps it:
 
     >>> invariant_factors([[0, 0], [0, 0]])
-    ()
+    Traceback (most recent call last):
+    ValueError: invariant_factors takes a nonsingular square matrix; use smith_normal_form
     """
-    n = len(a)
-    if any(len(row) != n for row in a) or not (r := abs(determinant(a))):
-        return tuple(x for x in smith_normal_form(a).diagonal if x)
+    if any(len(row) != len(a) for row in a) or not (r := abs(determinant(a))):
+        raise ValueError("invariant_factors takes a nonsingular square matrix; use smith_normal_form")
     det = r
     block = [[x % r for x in row] for row in a]
     factors = []

@@ -236,18 +236,15 @@ def _reduced(cls) -> bool:
     return cls.ctype.degree <= 6 and cls.split != "-" and len(cls.ctype.parts) >= 2
 
 
-def _alternative(cls, q, chain):
-    alt = alternative_decomposition(cls, q)
-    return None if alt is None else (chain, canonical_invariants(alt.orders(q)))
-
-
 # The routes the closed form is checked against, in the order a sweep
 # makes them: a name and a function from (class, q, the closed form's
 # divisor chain) to the check's (want, got), or None where the route
-# does not apply.  ``lattice`` stays first, as ``structure`` reports it.
+# does not apply.
 ROUTES = (
     ("lattice", lambda cls, q, chain: (chain, _smith_chain(torus_matrix(cls, q)))),
-    ("alternative", _alternative),
+    ("alternative", lambda cls, q, chain: (
+        None if (alt := alternative_decomposition(cls, q)) is None
+        else (chain, canonical_invariants(alt.orders(q))))),
     ("coupling identity", lambda cls, q, chain: (
         (True, reduced_form_identity(cls.ctype, q)) if _reduced(cls) else None)),
     ("reduced matrix", lambda cls, q, chain: (

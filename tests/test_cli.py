@@ -61,6 +61,19 @@ class TestEnumerate:
         assert first == "1," * 29 + "1\n"
         assert err == ""
 
+    def test_refuses_a_list_past_the_limit(self):
+        # the guard of table: l = 32 has 1,046,936 classes of both forms,
+        # and the count stops there, so no class of degree 20000 is built
+        start = time.perf_counter()
+        res = run("enumerate", "--l", "20000", "--form", "plus", timeout=30)
+        assert time.perf_counter() - start < 1
+        assert res.returncode == 2
+        assert (
+            "--l 20000 is too large a list: l = 32 alone has 1,046,936 classes "
+            "of both forms, above the limit of 1,000,000"
+        ) in res.stderr
+        assert res.stdout == ""
+
 
 class TestStructure:
     def test_text_output(self):
@@ -113,6 +126,27 @@ class TestStructure:
         assert data["orders"] == [20, 2]
         assert data["invariants"] == [2, 20]
         assert data["match"] is True
+
+    def test_json_reads_the_lattice_route_by_name(self, monkeypatch, capsys):
+        # the record holds the lattice route's values wherever the route
+        # sits in the table; reversed, the reduced matrix comes first, and
+        # with its matrix broken its got is not the lattice's
+        argv = ["structure", "--type", "1,1,-2", "--q", "3", "--format", "json"]
+        real, in_order = tori.reduced_torus_matrix, tori.ROUTES
+
+        def broken(ctype, q):
+            m = real(ctype, q)
+            return [[2 * x for x in m[0]]] + m[1:]
+
+        for rc, reduced in ((0, real), (1, broken)):
+            monkeypatch.setattr(tori, "reduced_torus_matrix", reduced)
+            outputs = []
+            for routes in (in_order, in_order[::-1]):
+                monkeypatch.setattr(tori, "ROUTES", routes)
+                assert cli.main(argv) == rc
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+            assert json.loads(outputs[0])["oracle_invariants"] == [2, 20]
 
     def test_json_is_stable_bytes(self):
         args = ("structure", "--type", "1,1", "--format", "json")
@@ -435,6 +469,26 @@ class TestVerify:
         assert "l = 2..21 has 115,514 classes" in capsys.readouterr().err
         assert cli.main(["verify", "--l-max", "21", "--q", "2,3,4,5,7,9,11,13"]) == 0
 
+    def test_refuses_a_sweep_past_the_work_limit(self, monkeypatch, capsys):
+        # l <= 9 is 742 classes; at q of 3,236 bits each pair is a check
+        # of size 262,116, so 11 such q are 2.14 * 10^9 of work and run,
+        # and 12 are refused at once, as are the 1,347 the pair limit admits
+        monkeypatch.setattr(cli, "sweep_checks", lambda classes, qs: iter(()))
+        for count, admitted in ((11, True), (12, False), (1_347, False)):
+            qs = ",".join(str(2**3235 + i) for i in range(count))
+            start = time.perf_counter()
+            rc, err = _exit_code_and_stderr(["verify", "--l-max", "9", "--q", qs], capsys)
+            if admitted:
+                assert rc == 0 and "too much work" not in err
+                continue
+            assert time.perf_counter() - start < 1
+            assert rc == 2
+            work = 742 * count * 81 * 3236
+            assert (
+                f"{742 * count:,} (class, q) pairs of degree up to 9 at a 3,236-bit q are too much "
+                f"work: pairs * max(l, 9)^2 * bits(q) = {work:,}, above the limit of 2,147,483,648"
+            ) in err
+
     def test_refuses_a_check_past_the_size_limit(self):
         # the limit of structure --q, taken at --l-max and the largest q
         # before any class is built: degree 8 takes q up to 3,236 bits
@@ -495,14 +549,15 @@ def test_structure_and_verify_admit_the_same_checks(monkeypatch, capsys, l, q, a
     # sweep to --l-max l at q are both admitted, with the same note on
     # the composite q, or both refused with the same message (the
     # checks are left out, one empty check of the first class standing
-    # in for them, and the pair limit is lifted so that verify reaches
-    # degree 64)
+    # in for them, and the pair and work limits are lifted so that
+    # verify reaches degree 64)
     def skipped(classes, qs):
         first = next(iter(classes))
         return (tori.Check(first, q, "lattice", (), ()) for q in qs)
 
     monkeypatch.setattr(cli, "sweep_checks", skipped)
     monkeypatch.setattr(cli, "MAX_VERIFY_PAIRS", math.inf)
+    monkeypatch.setattr(cli, "MAX_VERIFY_WORK", math.inf)
     structure = _exit_code_and_stderr(["structure", "--type", str(l), "--q", str(q)], capsys)
     verify = _exit_code_and_stderr(["verify", "--l-max", str(l), "--q", str(q)], capsys)
     if admitted:

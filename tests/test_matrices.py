@@ -30,10 +30,10 @@ from spintori import matrices
 from spintori.matrices import (
     _action_rows,
     coupling_matrix,
-    mat_mul,
     permutation_matrix,
     twist_factorization_check,
 )
+from spintori.smith import mat_mul
 
 from oracle_tools import compose
 from test_permutations import random_element

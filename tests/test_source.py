@@ -187,20 +187,22 @@ def test_benchmark_makes_the_library_checks():
 
 
 def test_smith_routes_stay_apart():
-    # the closed form (tori, permutations) and the Smith form share no
-    # code, and determinant is a cross-check of the elimination, so it
-    # calls nothing else in smith.py
+    # the Smith form imports nothing from the package, so it shares no
+    # code with the closed form (tori, permutations); its two paths share
+    # only determinant, a cross-check of the elimination that calls
+    # nothing else in smith.py
     path = Path(spintori.__file__).parent / "smith.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            imported += [f"{'.' * node.level}{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert "matrices.mat_mul" in imported
-    shared = [m for m in imported if {"tori", "permutations"} & set(m.split("."))]
-    assert shared == []
+    assert "math.gcd" in imported
+    from_package = [m for m in imported if m.startswith(".") or m.partition(".")[0] == "spintori"]
+    assert from_package == []
+    assert "smith.py:invariant_factors" not in library_callers("smith_normal_form")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert {"determinant", "invariant_factors"} <= set(functions)
     called = {
