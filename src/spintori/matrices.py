@@ -9,8 +9,8 @@ the fundamental-weight basis of the character lattice.  Its cokernel is
 the finite torus labelled by tau, so its Smith invariant factors give
 the cyclic decomposition.  Both forms are handled by one formula: a
 class with an odd number of negative parts has an odd representative,
-and feeding that odd element in absorbs the diagram twist exactly
-(``twist_factorization_check`` certifies this).
+and feeding that odd element in absorbs the diagram twist exactly, as
+the tests check for every odd class up to degree 8.
 
 The remaining functions build the two-step reduction used to prove the
 closed form: ``reduced_form_identity`` checks the basis-change identity
@@ -36,7 +36,7 @@ from .permutations import (
 
 __all__ = [
     "MatrixFormatError", "format_matrix_text", "parse_matrix_text", "reduced_form_identity",
-    "reduced_torus_matrix", "torus_matrix", "twist_factorization_check",
+    "reduced_torus_matrix", "torus_matrix",
 ]
 
 Matrix = list[list[int]]
@@ -109,7 +109,7 @@ def torus_matrix(tau, q: int) -> Matrix:
 
     Works uniformly for both forms: an even class feeds the untwisted
     endomorphism; an odd class's representative is odd, which absorbs
-    the diagram twist (see ``twist_factorization_check``).
+    the diagram twist (see the module docstring).
 
     >>> from .permutations import SignedCycleType
     >>> torus_matrix(SignedCycleType((-1, -1)), 3)
@@ -124,23 +124,6 @@ def torus_matrix(tau, q: int) -> Matrix:
     for i, row in enumerate(out):
         row[i] -= 1
     return out
-
-
-def twist_factorization_check(ctype: SignedCycleType) -> bool:
-    """For an odd type, the twisted presentation through an even group
-    element equals the untwisted one through the odd representative u,
-    at every q: q * C * action(d * u) - E == q * action(u) - E, with d
-    the last-point flip and C the exchange of the last two coordinates
-    (the diagram symmetry on the fundamental-weight basis).  Both sides
-    are q times a fixed matrix minus E, so this checks
-    C * action(d * u) == action(u)."""
-    if ctype.num_negative % 2 == 0:
-        raise ValueError("check applies to odd types only")
-    u = standard_representative(ctype)
-    # d * u, d the last-point flip, sends l to u(-l) = -u(l)
-    m = _action_rows(u[:-1] + (-u[-1],), 1)
-    m[-2], m[-1] = m[-1], m[-2]  # C * m
-    return m == _action_rows(u, 1)
 
 
 # ---------------------------------------------------------------------------

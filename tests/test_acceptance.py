@@ -15,10 +15,8 @@ from spintori import (
     FORM_PLUS,
     TorusClass,
     canonical_invariants,
-    center_invariants,
     closed_form_decomposition,
     determinant,
-    embeds,
     enumerate_classes,
     invariant_factors,
     reduced_form_identity,
@@ -27,6 +25,8 @@ from spintori import (
     torus_matrix,
     torus_order,
 )
+
+from test_tori import center_invariants, embeds
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_QS = (2, 3, 4, 5, 7, 9, 11, 13, 16, 25)

@@ -26,6 +26,46 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_work_at_import_time():
+    # ``import spintori`` runs every module's top level, and the
+    # benchmark's setup_s counts it; so a top-level statement is an
+    # import, a def or class, a docstring, an assignment that calls
+    # nothing (a lambda's body runs only when called), or the
+    # ``__main__`` guard.  __main__.py runs only under ``python -m``
+    def calls(node):
+        if isinstance(node, ast.Lambda):
+            return False
+        return isinstance(node, ast.Call) or any(calls(child) for child in ast.iter_child_nodes(node))
+
+    def allowed(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.ClassDef)):
+            return True
+        if isinstance(node, ast.Expr):
+            return isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            return node.value is not None and not calls(node.value)
+        return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCE_FILES if path.name != "__main__.py"
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if not allowed(node)
+    ]
+    assert found == []
+    stdlib = set()
+    for path in SOURCE_FILES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                stdlib.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                stdlib.add(node.module.partition(".")[0])
+    assert stdlib == {
+        "__future__", "argparse", "collections", "contextlib", "dataclasses", "itertools",
+        "json", "math", "operator", "os", "pathlib", "sys", "typing",
+    }
+
+
 def test_exports_resolve():
     # a name deleted from the library must leave ``__all__`` with it
     assert len(spintori.__all__) == len(set(spintori.__all__))

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,7 @@ from spintori import (
     TorusClass,
     alternative_decomposition,
     canonical_invariants,
-    center_invariants,
     closed_form_decomposition,
-    embeds,
     enumerate_classes,
     invariant_factors,
     is_prime_power,
@@ -27,6 +26,8 @@ from spintori import (
     torus_matrix,
     torus_order,
 )
+
+from test_matrices import torus_classes
 
 T = SignedCycleType.parse
 
@@ -179,6 +180,79 @@ class TestAlternativePinned:
         assert seen > 1000
 
 
+def two_pass_sides(lengths, signs):
+    """(index, length) lists of the positive odd, negated odd and
+    negated even parts, in index order."""
+    pos_odd, neg_odd, neg_even = [], [], []
+    for i, (a, eps) in enumerate(zip(lengths, signs)):
+        if a % 2:
+            (pos_odd if eps > 0 else neg_odd).append((i, a))
+        elif eps < 0:
+            neg_even.append((i, a))
+    return pos_odd, neg_odd, neg_even
+
+
+def two_pass_decompositions(ctype, q):
+    """(case, factors) of the closed form and of the alternative
+    decomposition at q (None where it does not apply), by the rule the
+    library used before it read the parts in one scan: the sides are
+    (index, length) lists, ``choose`` takes the least length, earliest
+    among ties, and the standard factors skip the chosen indices."""
+    lengths = tuple(abs(p) for p in ctype.parts)
+    signs = tuple(1 if p > 0 else -1 for p in ctype.parts)
+
+    def choose(indexed):
+        return min(indexed, key=itemgetter(1))[0]
+
+    def standard(*skip):
+        return tuple(((a, eps),) for k, (a, eps) in enumerate(zip(lengths, signs)) if k not in skip)
+
+    def composite(case, i, j):
+        head = tuple(sorted(((lengths[i], signs[i]), (lengths[j], -1)), reverse=True))
+        return case, (head,) + standard(i, j)
+
+    pos_odd, neg_odd, neg_even = two_pass_sides(lengths, signs)
+    if pos_odd and neg_odd:
+        primary = composite("i", choose(pos_odd), choose(neg_odd))
+    elif (pos_odd or neg_odd) and neg_even:
+        primary = composite("ii", choose(pos_odd or neg_odd), choose(neg_even))
+    elif all(p > 0 and p % 2 == 0 for p in ctype.parts):
+        i = min(range(len(lengths)), key=lambda k: (lengths[k] & -lengths[k], lengths[k]))
+        half = lengths[i] // 2
+        primary = "iii", (((half, 1),), ((half, -1),)) + standard(i)
+    else:
+        primary = "iv", standard()
+    alternative = None
+    if q % 2 and pos_odd and neg_odd and neg_even:
+        t = choose(pos_odd) if q % 4 == 1 else choose(neg_odd)
+        alternative = composite("i", t, choose(neg_even))
+    return primary, alternative
+
+
+# even q, and odd q of both residues mod 4, up to 2^64
+residue_field_sizes = st.one_of(
+    st.sampled_from((2, 3, 4, 5, 7, 9, M61)),
+    st.builds(lambda k, r: 4 * k + r, st.integers(1, 2**62 - 1), st.sampled_from((0, 1, 2, 3))),
+)
+
+
+class TestClosedFormPastTheDigests:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(torus_classes(), residue_field_sizes)
+    def test_matches_the_two_pass_rule(self, cls, q):
+        # the digests pin the closed form up to l = 8 and its rendering
+        # up to l = 12; this reaches l = 30 at q up to 2^64
+        want, want_alt = two_pass_decompositions(cls.ctype, q)
+        dec, alt = closed_form_decomposition(cls), alternative_decomposition(cls, q)
+        assert (dec.case, dec.factors) == want
+        assert (None if alt is None else (alt.case, alt.factors)) == want_alt
+        for got in (dec, alt):
+            if got is not None:
+                assert got.orders(q) == tuple(
+                    math.prod(q**a - eps for a, eps in f) for f in got.factors
+                )
+
+
 def order_lists():
     near_m61 = st.integers(2**61 - 2**20, 2**61 + 2**20)
     term = st.tuples(near_m61, st.integers(1, 4), st.sampled_from((1, -1)))
@@ -218,6 +292,15 @@ class TestCanonicalInvariants:
         diag = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
         want = tuple(x for x in invariant_factors(diag) if x > 1) if n else ()
         assert canonical_invariants(orders) == want
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(order_lists(), st.data())
+    def test_does_not_depend_on_input_order(self, orders, data):
+        # a divisor chain of a finite abelian group is unique, so sorting
+        # the input before the sift cannot change the result
+        chain = canonical_invariants(orders)
+        assert canonical_invariants(orders[::-1]) == chain
+        assert canonical_invariants(data.draw(st.permutations(orders))) == chain
 
     def test_chain_divides(self):
         rng = random.Random(43)
@@ -260,6 +343,35 @@ class TestSweepChecks:
         ]
         assert Counter(c.route for c in checks) == {"lattice": 76, "reduced matrix": 58}
         assert [c for c in checks if c.ok] == []
+
+
+def center_invariants(l, form, q):
+    """Invariants of the center of Spin(2l, q) of the given form, which
+    lies in every maximal torus: (gcd(2, q-1))^2 for form plus with l
+    even, else the cyclic gcd(4, q^l - sign), sign +1 for plus and -1
+    for minus.  Trivial factors dropped."""
+    if form not in (FORM_PLUS, FORM_MINUS):
+        raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
+    if l < 2:
+        raise ValueError("degree must be at least 2")
+    sign = 1 if form == FORM_PLUS else -1
+    if sign == 1 and l % 2 == 0:
+        d = math.gcd(2, q - 1)
+        raw = (d, d)
+    else:
+        raw = (math.gcd(4, q**l - sign),)
+    return tuple(x for x in raw if x > 1)
+
+
+def embeds(sub, big):
+    """Whether the abelian group with invariants ``sub`` embeds into
+    the one with invariants ``big``.  Both are brought to their divisor
+    chains by ``canonical_invariants`` (so entries must be positive);
+    then aligned from the largest entry, each entry of ``sub`` must
+    divide the matching entry of ``big``.  Prime by prime this is the
+    domination of the descending exponent lists."""
+    a, b = canonical_invariants(sub), canonical_invariants(big)
+    return len(a) <= len(b) and all(y % x == 0 for x, y in zip(reversed(a), reversed(b)))
 
 
 class TestCenter:
