@@ -39,7 +39,6 @@ from .tori import (
     Check,
     TorusDecomposition,
     closed_form_decomposition,
-    is_prime_power,
     sweep_checks,
     torus_order,
 )
@@ -133,6 +132,67 @@ def _admit_checks(args, l: int, qs: list[int], pairs: int) -> None:
     for q in qs:
         if not is_prime_power(q):
             print(f"note: q={q} is not a prime power; orders are formal values", file=sys.stderr)
+
+
+def is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and k >= 1, by ``_is_prime``, so
+    exact for n below 3.3 * 10^24, with no factorization.
+
+    Roots are taken at prime exponents only, least first: a prime n
+    returns at once, and a k-th power n is replaced by its root, the
+    search going on from the same k, as no smaller prime is left.
+
+    >>> [m for m in range(2, 20) if is_prime_power(m)]
+    [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+    """
+    k = 2
+    while n > 1 and not _is_prime(n):
+        exponents = (p for p in range(k, n.bit_length()) if _is_prime(p))
+        k = next((p for p in exponents if _iroot(n, p) ** p == n), 0)
+        n = _iroot(n, k) if k else 1
+    return n > 1
+
+
+def _iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 13 prime bases.
+
+    Deterministic for n < 3,317,044,064,679,887,385,961,981 (about
+    3.3 * 10^24); above that a composite could pass as a strong
+    probable prime to all 13 bases.
+    """
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _print_failures(checks) -> None:

@@ -27,12 +27,7 @@ repetition, with no arithmetic on each entry; at q = 1 it is W itself.
 
 from __future__ import annotations
 
-from .permutations import (
-    SignedCycleType,
-    TorusClass,
-    representative,
-    standard_representative,
-)
+from .permutations import SignedCycleType, representative
 
 __all__ = [
     "MatrixFormatError", "format_matrix_text", "parse_matrix_text", "reduced_form_identity",
@@ -86,8 +81,6 @@ def _action_rows(images: tuple[int, ...], q: int) -> Matrix:
     [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]
     """
     l = len(images)
-    if l < 2:
-        raise ValueError("need at least two coordinates")
     body = l - 2
     lines = []  # row k of q R N / 2: run start, run value, then the tail pair not halved
     for x in images:
@@ -117,10 +110,9 @@ def torus_matrix(tau, q: int) -> Matrix:
     >>> torus_matrix(SignedCycleType((1, 1)), 2)
     [[1, 0], [0, 1]]
     """
-    cls = TorusClass.coerce(tau)
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    out = _action_rows(representative(cls), q)
+    out = _action_rows(representative(tau), q)
     for i, row in enumerate(out):
         row[i] -= 1
     return out
@@ -159,13 +151,13 @@ def reduced_form_identity(ctype: SignedCycleType, q: int) -> bool:
 
         q (E + J) R (E - J/2) - E  ==  q R - E + q B,
 
-    with R the standard representative's matrix, J the last-column-ones
+    with R the matrix of ``representative(ctype)``, J the last-column-ones
     matrix and B the coupling matrix.  Checked doubled, so it stays in
     integers, row by row with no matrix product: row i of (E + J) R is
     r = R[i] + R[l-1], and r (2E - J) is 2r less sum(r) in its last
     entry.  The -E on both sides cancels, so neither side takes it.
     """
-    r = permutation_matrix(standard_representative(ctype))
+    r = permutation_matrix(representative(ctype))
     last, last_sum, q2 = r[-1], sum(r[-1]), 2 * q
     for ri, bi in zip(r, coupling_matrix(ctype)):
         lhs = [q2 * (x + y) for x, y in zip(ri, last)]

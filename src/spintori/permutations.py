@@ -29,19 +29,11 @@ from typing import Iterator
 
 __all__ = [
     "FORM_MINUS", "FORM_PLUS", "SignedCycleType", "TorusClass", "enumerate_classes",
-    "iter_classes", "representative", "standard_representative",
+    "iter_classes", "representative",
 ]
 
 FORM_PLUS = "plus"
 FORM_MINUS = "minus"
-
-
-def form_sign(form: str) -> int:
-    """+1 for FORM_PLUS, -1 for FORM_MINUS: the product of the signs
-    of a cycle type of that form.  Anything else is a ValueError."""
-    if form not in (FORM_PLUS, FORM_MINUS):
-        raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
-    return 1 if form == FORM_PLUS else -1
 
 
 @dataclass(frozen=True)
@@ -166,40 +158,33 @@ class TorusClass:
         return f"{base}:{self.split}" if self.split else base
 
 
-def standard_representative(ctype: SignedCycleType) -> tuple[int, ...]:
-    """Images of 1..l under the block representative: consecutive
-    points per part, one sign flip on the closing image of each
-    negative part.
+def representative(tau) -> tuple[int, ...]:
+    """Images of 1..l under the representative of a class, or of a
+    cycle type's class (``TorusClass.coerce``): consecutive points per
+    part, one sign flip on the closing image of each negative part.
+    The '-' member of a split pair is the '+' one conjugated by the
+    sign flip at the last point.
 
-    >>> standard_representative(SignedCycleType((2, -2)))
+    >>> representative(SignedCycleType((2, -2)))
     (2, 1, 4, -3)
+    >>> representative(TorusClass.parse("2,2:-"))
+    (2, 1, -4, -3)
     """
+    cls = TorusClass.coerce(tau)
     imgs = []
     offset = 0
-    for p in ctype.parts:
+    for p in cls.ctype.parts:
         k = abs(p)
         for i in range(1, k):
             imgs.append(offset + i + 1)
         imgs.append((offset + 1) if p > 0 else -(offset + 1))
         offset += k
+    if cls.split == "-":
+        # d w d, d the flip at l, negates the image of l and the image
+        # equal to l.  A split type's last cycle has length >= 2, so these
+        # are two images, w(l) and w(l-1) = l: the last two.
+        imgs[-2:] = [-imgs[-2], -imgs[-1]]
     return tuple(imgs)
-
-
-def representative(cls: TorusClass) -> tuple[int, ...]:
-    """Images of 1..l under the class representative; the '-' member
-    of a split pair is the standard one conjugated by the sign flip at
-    the last point.
-
-    >>> representative(TorusClass.parse("2,2:-"))
-    (2, 1, -4, -3)
-    """
-    w = standard_representative(cls.ctype)
-    if cls.split != "-":
-        return w
-    # d w d, d the flip at l, negates the image of l and the image
-    # equal to l.  A split type's last cycle has length >= 2, so these
-    # are two images, w(l) and w(l-1) = l: the last two.
-    return w[:-2] + (-w[-2], -w[-1])
 
 
 def _partitions(n: int):
@@ -245,7 +230,9 @@ def iter_classes(l: int, form: str) -> Iterator[TorusClass]:
     """
     if l < 2:
         raise ValueError(f"degree must be at least 2, got {l}")
-    parity = (1 - form_sign(form)) // 2  # of the number of negated parts
+    if form not in (FORM_PLUS, FORM_MINUS):
+        raise ValueError(f"form must be 'plus' or 'minus', got {form!r}")
+    parity = form == FORM_MINUS  # of the number of negated parts
     for partition in _partitions(l):
         runs = Counter(partition).items()  # (length, count), longest first
         choices = itertools.product(*(range(c + 1) for _, c in runs))

@@ -156,20 +156,19 @@ class SnfResult:
         """True if d is diagonal, its diagonal a nonnegative divisor chain
         with zeros only at the end, p a q == d and |det p| = |det q| = 1;
         as det p det a det q = det d, a square a with |det a| = |det d| > 0
-        proves the last.  For a with no columns q is [], the 0 x 0 identity."""
-        if not a:
+        proves the last."""
+        if not a or not a[0]:
             raise ValueError("empty matrix")
         d, p, q, diag = self.d, self.p, self.q, self.diagonal
         if len(q) != len(a[0]) or any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(d)):
             return False
         if any(x < 0 for x in diag) or any(y % x if x else y for x, y in zip(diag, diag[1:])):
             return False
-        pa = mat_mul(p, a)
-        if (mat_mul(pa, q) if q else pa) != d:
+        if mat_mul(mat_mul(p, a), q) != d:
             return False
         if len(a) == len(q) and (det := prod(diag)) and abs(determinant(a)) == det:
             return True
-        return abs(determinant(p)) == 1 and (not q or abs(determinant(q)) == 1)
+        return abs(determinant(p)) == 1 and abs(determinant(q)) == 1
 
 
 def _clear_below(rows: Matrix, r: int, j: int) -> None:
@@ -277,7 +276,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     >>> smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]).diagonal
     (1, 30, 30)
     """
-    if not a:
+    if not a or not a[0]:
         raise ValueError("empty matrix")
     m, n = len(a), len(a[0])
     if any(len(row) != n for row in a):

@@ -1,18 +1,21 @@
 import doctest
+import importlib
 from pathlib import Path
 
 import pytest
 
-from spintori import matrices, permutations, smith, tori
+import spintori
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-@pytest.mark.parametrize(
-    "module", [permutations, matrices, smith, tori], ids=lambda m: m.__name__
+MODULES = sorted(
+    path.stem for path in Path(spintori.__file__).parent.glob("*.py")
+    if path.stem not in ("__init__", "__main__")
 )
-def test_module_doctests(module):
-    result = doctest.testmod(module)
+
+
+@pytest.mark.parametrize("name", MODULES, ids=lambda name: f"spintori.{name}")
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(f"spintori.{name}"))
     assert result.failed == 0
     assert result.attempted > 0
 

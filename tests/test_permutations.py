@@ -13,7 +13,6 @@ from spintori import (
     enumerate_classes,
     iter_classes,
     representative,
-    standard_representative,
     torus_matrix,
     torus_order,
 )
@@ -142,13 +141,13 @@ class TestRepresentatives:
         assert wp != wm
 
     def test_split_representatives_are_flip_conjugates(self):
-        # the '-' member is d w d, with w the standard representative
+        # the '-' member is d w d, with w the cycle type's representative
         # and d the flip at the last point; the '+' member is w itself
         split = [c for l in range(2, 13) for c in iter_classes(l, FORM_PLUS) if c.split]
         assert len(split) == 2 * (1 + 2 + 3 + 5 + 7 + 11)
         for cls in split:
             l = cls.ctype.degree
-            w = standard_representative(cls.ctype)
+            w = representative(cls.ctype)
             want = conjugate(w, tuple(range(1, l)) + (-l,)) if cls.split == "-" else w
             assert representative(cls) == want, cls.literal()
 
@@ -182,8 +181,9 @@ class TestCoerce:
             lambda tau: torus_matrix(tau, 3),
             lambda tau: closed_form_decomposition(tau),
             lambda tau: torus_order(tau, 3),
+            lambda tau: representative(tau),
         ],
-        ids=["coerce", "torus_matrix", "closed_form_decomposition", "torus_order"],
+        ids=["coerce", "torus_matrix", "closed_form_decomposition", "torus_order", "representative"],
     )
     def test_string_is_refused(self, call):
         with pytest.raises(TypeError):

@@ -3,7 +3,6 @@
 import ast
 import importlib
 import importlib.util
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,8 +170,8 @@ def _is_submodule(package: str, name: str) -> bool:
 def test_every_export_has_a_user():
     # an export that only its own module and the tests call is a helper
     # that belongs in its caller: each name is named by another library
-    # module, imported by the benchmark or a demo, or named in backticks
-    # in the README
+    # module or imported by the benchmark or a demo.  ``SnfResult`` is
+    # the type of ``smith_normal_form``'s result, so it has that user
     home = {name: mod.__name__ for mod in (permutations, matrices, smith, tori) for name in mod.__all__}
     named_in = {}
     for path in SOURCE_FILES:
@@ -192,12 +191,10 @@ def test_every_export_has_a_user():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "spintori":
                 imported.update(alias.name for alias in node.names)
-    readme = (PERFBENCH.parent / "README.md").read_text()
-    documented = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
     unused = [
         name for name in spintori.__all__
         if not named_in.get(name, set()) - {home[name]}
-        and name not in imported | documented
+        and name not in imported | {"SnfResult"}
     ]
     assert unused == []
 
@@ -281,6 +278,23 @@ def test_mat_mul_has_one_library_caller():
     # the check matrices are built without a generic product, as the
     # ``matrices.py`` docstring says, so the certificate is the one caller
     assert library_callers("mat_mul") == {"smith.py:SnfResult.verify"}
+
+
+def test_representative_is_built_in_one_place():
+    # one function builds every class representative, and the matrix
+    # routes read it
+    assert library_callers("representative") == {
+        "matrices.py:torus_matrix", "matrices.py:reduced_form_identity",
+    }
+
+
+def test_prime_power_test_lives_in_the_cli():
+    # the composite-q note is the one user of the prime-power test, and
+    # MAX_CHECK_SIZE prices that test's bases, so the closed-form module
+    # keeps none of it
+    assert library_callers("is_prime_power") == {"cli.py:_admit_checks"}
+    names = ("is_prime_power", "_iroot", "_is_prime", "_MILLER_RABIN_BASES")
+    assert [name for name in names if hasattr(tori, name)] == []
 
 
 def test_clear_below_is_the_one_row_step():

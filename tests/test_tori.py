@@ -19,13 +19,15 @@ from spintori import (
     closed_form_decomposition,
     enumerate_classes,
     invariant_factors,
-    is_prime_power,
     iter_classes,
     sweep_checks,
     tori,
     torus_matrix,
     torus_order,
 )
+
+from spintori import cli
+from spintori.cli import is_prime_power
 
 from test_matrices import torus_classes
 
@@ -274,6 +276,13 @@ class TestCanonicalInvariants:
         with pytest.raises(ValueError):
             canonical_invariants([4, 0])
 
+    def test_rejects_non_integers(self):
+        # an order is an exact integer; a float or a string is not read
+        # as one, and 6.9 is not truncated to 6
+        for bad in ([6.9, 4], [6.0, 4], ["12"], [4, 2**70 + 0.5]):
+            with pytest.raises(TypeError):
+                canonical_invariants(bad)
+
     def test_against_smith_form_of_diagonal(self):
         rng = random.Random(41)
         for _ in range(120):
@@ -477,8 +486,8 @@ class TestNumberTheory:
         # 10^3000 + 1 has 9,966 bits, and below 10,000 there are 1,229
         # primes, against 9,966 exponents
         exponents = []
-        real = tori._iroot
-        monkeypatch.setattr(tori, "_iroot", lambda n, k: exponents.append(k) or real(n, k))
+        real = cli._iroot
+        monkeypatch.setattr(cli, "_iroot", lambda n, k: exponents.append(k) or real(n, k))
         assert not is_prime_power(10**3000 + 1)
         assert 0 < len(exponents) <= 1_229
         assert all(k % d for k in exponents for d in range(2, math.isqrt(k) + 1))
